@@ -195,11 +195,11 @@ class RigidSimilarity:
         return RigidSimilarity(np.eye(3), np.zeros(3), 1.0)
 
 
-def _exact_neighbor_distances(points: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+def _exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Recompute in a fixed order so results are bit-identical to a brute-force
     # reference regardless of how the tree accumulated its internal distances.
-    diff = points[:, None, :] - points[neighbors]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    diff = a - b
+    return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
 def build_knn_graph(
@@ -228,15 +228,18 @@ def build_knn_graph(
         raise EmptyCloudError("kNN graph needs at least 2 valid points")
 
     pts = cloud.positions[valid_idx]
+    n = len(pts)
     tree = cKDTree(pts)
-    k_query = min(k + 1, len(pts))
-    _, nbr = tree.query(pts, k=k_query)
-    nbr = nbr.reshape(len(pts), k_query)
-    dist = _exact_neighbor_distances(pts, nbr)
-
-    rows = np.repeat(np.arange(len(pts)), k_query)
-    cols = nbr.ravel()
-    dvals = dist.ravel()
+    k_query = min(k + 1, n)
+    # The tree keeps only distances strictly below its bound; the inflated
+    # bound still returns every neighbor the exact filter below keeps.  Slots
+    # with no neighbor inside it hold the index n.
+    _, nbr = tree.query(pts, k=k_query, distance_upper_bound=max_radius * (1.0 + 1e-9))
+    nbr = nbr.reshape(n, k_query)
+    found = nbr < n
+    rows, slots = np.nonzero(found)
+    cols = nbr[rows, slots]
+    dvals = _exact_distances(pts[rows], pts[cols])
     # The k+1 query always contains a zero-distance entry (the point itself,
     # or a coincident duplicate), so dropping zero-distance edges leaves at
     # most k outgoing edges per point.
@@ -244,8 +247,9 @@ def build_knn_graph(
     src, tgt, dvals, all_dvals = rows[keep], cols[keep], dvals[keep], dvals
 
     if dvals.size == 0:
-        non_self = all_dvals[rows != cols]
-        if non_self.size and non_self.max() == 0.0:
+        # A slot left empty by the bound held a point beyond max_radius, so
+        # the points coincide only if every slot was filled at distance 0.
+        if found.all() and all_dvals[rows != cols].max() == 0.0:
             raise DegenerateGeometryError("all valid points coincide; sigma would be 0")
         sigma_val = float(sigma) if sigma != "adaptive" else float("nan")
         return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
@@ -276,7 +280,7 @@ def mean_knn_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Per-point mean distance to the k nearest neighbors (self excluded)."""
     tree = cKDTree(points)
     _, nbr = tree.query(points, k=k + 1)
-    dist = _exact_neighbor_distances(points, nbr.reshape(len(points), k + 1))
+    dist = _exact_distances(points[:, None, :], points[nbr.reshape(len(points), k + 1)])
     return dist[:, 1:].mean(axis=1)
 
 

@@ -60,7 +60,9 @@ class CorrespondenceSet:
         t = np.asarray(self.teacher_indices, dtype=np.int64)
         if s.shape != t.shape or s.ndim != 1:
             raise ValueError("student and teacher index arrays must be 1-D and equal length")
-        if len(np.unique(s)) != len(s):
+        # Sorted input (match_correspondences' flatnonzero) is unique when it
+        # strictly increases; only other input pays for np.unique.
+        if not (s[1:] > s[:-1]).all() and len(np.unique(s)) != len(s):
             raise ValueError("student indices must be unique")
         object.__setattr__(self, "student_indices", frozen_array(s))
         object.__setattr__(self, "teacher_indices", frozen_array(t))
@@ -151,15 +153,32 @@ def adaptive_sigma(graph_distances: np.ndarray) -> float:
     return float(np.median(d))
 
 
+def _scatter_rows(
+    index: np.ndarray, rows: np.ndarray, n: int, base: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, d) array of base plus rows[e] added into row index[e], in order of e.
+
+    np.bincount adds each bin's entries left to right starting from 0.0, as
+    np.add.at does, so this equals np.add.at(base.copy(), index, rows) bit for
+    bit; base enters as n leading entries (only the sign of a zero can differ).
+    """
+    d = rows.shape[1]
+    if base is not None:
+        index = np.concatenate([np.arange(n), index])
+        rows = np.concatenate([base, rows])
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def _laplacian_pairwise(values: np.ndarray, graph: KnnGraph) -> tuple[float, np.ndarray]:
     src, tgt, w = graph.source, graph.target, graph.weight
     diff = values[src] - values[tgt]
     per_edge = np.einsum("ij,ij->i", diff, diff)
     loss = float((w * per_edge).sum() / len(src))
     scaled = (2.0 / len(src)) * w[:, None] * diff
-    grad = np.zeros_like(values)
-    np.add.at(grad, src, scaled)
-    np.add.at(grad, tgt, -scaled)
+    grad = _scatter_rows(
+        np.concatenate([src, tgt]), np.concatenate([scaled, -scaled]), len(values)
+    )
     return loss, grad
 
 
@@ -175,10 +194,8 @@ def _laplacian_huber_residual(
     n = len(values)
     src, tgt, w = graph.source, graph.target, graph.weight
 
-    w_sum = np.zeros(n)
-    np.add.at(w_sum, src, w)
-    neighbor_mean = np.zeros_like(values)
-    np.add.at(neighbor_mean, src, w[:, None] * values[tgt])
+    w_sum = np.bincount(src, weights=w, minlength=n)
+    neighbor_mean = _scatter_rows(src, w[:, None] * values[tgt], n)
     connected = w_sum > 0.0
     neighbor_mean[connected] /= w_sum[connected, None]
 
@@ -192,9 +209,8 @@ def _laplacian_huber_residual(
     scale[beyond] = delta / norms[beyond]
     g = scale[:, None] * residual
 
-    grad = g.copy()
     a = w / w_sum[src]
-    np.add.at(grad, tgt, -a[:, None] * g[src])
+    grad = _scatter_rows(tgt, -a[:, None] * g[src], n, base=g)
     return loss, grad / n
 
 
@@ -263,7 +279,11 @@ def match_correspondences(
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
         return CorrespondenceSet(np.empty(0, np.int64), np.empty(0, np.int64))
     tree = teacher_tree if teacher_tree is not None else cKDTree(teacher_positions)
-    dist, nearest = tree.query(student_positions, k=1)
+    # The tree keeps only distances strictly below its bound, so the bound is
+    # inflated (or lifted when no positive cutoff exists) to keep every pair
+    # the filter below keeps; unmatched rows come back with dist = inf.
+    bound = max_distance * (1.0 + 1e-9) if max_distance > 0.0 else np.inf
+    dist, nearest = tree.query(student_positions, k=1, distance_upper_bound=bound)
     keep = dist <= max_distance
     return CorrespondenceSet(np.flatnonzero(keep), nearest[keep])
 

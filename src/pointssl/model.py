@@ -124,11 +124,6 @@ def init_teacher(params: EncoderParams, head: PrototypeHead, momentum: float = 0
     return TeacherState(params.copy(), head.copy(), momentum)
 
 
-def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sig = 1.0 / (1.0 + np.exp(-x))
-    return x * sig, sig * (1.0 + x * (1.0 - sig))
-
-
 def point_features(cloud: PointCloud) -> np.ndarray:
     """9-D per-point features: coordinates, colors, normals.
 
@@ -149,9 +144,16 @@ def point_features(cloud: PointCloud) -> np.ndarray:
 
 @dataclass
 class EncodeCache:
+    """Forward values the backward pass needs.
+
+    Per hidden layer it keeps the preactivation a and its sigmoid; the SiLU
+    output a * sigmoid(a) is recomputed in backward, so the cache holds two
+    arrays per layer.
+    """
+
     features: np.ndarray
     preactivations: list[np.ndarray]
-    activations: list[np.ndarray]
+    sigmoids: list[np.ndarray]
     raw_output: np.ndarray
     safe_norms: np.ndarray
     floored: np.ndarray
@@ -181,12 +183,17 @@ def encode_features(
         f[mask] = params.mask_token
 
     h = f
-    preacts, acts = [], []
+    preacts, sigs = [], []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         a = h @ w + b
+        # sigmoid(a) = 1 / (1 + exp(-a)), computed in place.
+        sig = np.negative(a)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
         preacts.append(a)
-        h, _ = _silu(a)
-        acts.append(h)
+        sigs.append(sig)
+        h = a * sig
     raw = h @ params.weights[-1] + params.biases[-1]
 
     norms = np.linalg.norm(raw, axis=1)
@@ -196,7 +203,7 @@ def encode_features(
     if floored.any():
         z[floored] = 0.0
         z[floored, 0] = 1.0
-    return EncodeCache(f, preacts, acts, raw, safe, floored, z, mask)
+    return EncodeCache(f, preacts, sigs, raw, safe, floored, z, mask)
 
 
 def encode(
@@ -221,15 +228,12 @@ def encode_backward(
     grads = params.zeros_like()
     upstream = g_raw
     last = len(params.weights) - 1
-    h_prev = cache.activations[-1] if cache.activations else cache.features
-    grads.weights[last] = h_prev.T @ upstream
-    grads.biases[last] = upstream.sum(axis=0)
-    upstream = upstream @ params.weights[last].T
-
-    for i in range(last - 1, -1, -1):
-        _, dsilu = _silu(cache.preactivations[i])
-        upstream = upstream * dsilu
-        h_prev = cache.activations[i - 1] if i > 0 else cache.features
+    for i in range(last, -1, -1):
+        if i < last:
+            a, sig = cache.preactivations[i], cache.sigmoids[i]
+            # SiLU'(a) = sigmoid(a) * (1 + a * (1 - sigmoid(a))).
+            upstream = upstream * (sig * (1.0 + a * (1.0 - sig)))
+        h_prev = cache.preactivations[i - 1] * cache.sigmoids[i - 1] if i > 0 else cache.features
         grads.weights[i] = h_prev.T @ upstream
         grads.biases[i] = upstream.sum(axis=0)
         upstream = upstream @ params.weights[i].T

@@ -107,3 +107,68 @@ def test_invalid_points_get_no_edges():
     graph = build_knn_graph(PointCloud(positions=points, valid=valid), k=3, max_radius=2.0)
     for bad in (4, 10, 30):
         assert bad not in graph.source and bad not in graph.target
+
+
+def assert_matches_oracle(points, k, radius):
+    graph = build_knn_graph(make_cloud(points), k=k, max_radius=radius)
+    expected = brute_force_knn(points, k, radius)
+    got = graph_edges(graph)
+    assert set(got) == set(expected)
+    for key in expected:
+        assert got[key] == expected[key]
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_at_exactly_max_radius_kept(seed):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 1, (60, 3))
+    # Take an exact neighbor distance from the oracle as the radius.
+    key, dist = sorted(brute_force_knn(points, 4, 10.0).items(), key=lambda e: e[1])[30]
+    got = assert_matches_oracle(points, 4, dist)
+    assert got[key] == dist
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_one_ulp_beyond_max_radius_dropped(seed):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 1, (60, 3))
+    key, dist = sorted(brute_force_knn(points, 4, 10.0).items(), key=lambda e: e[1])[30]
+    got = assert_matches_oracle(points, 4, float(np.nextafter(dist, 0.0)))
+    assert key not in got
+
+
+def test_fewer_than_k_neighbors_inside_radius():
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0, 1, (150, 3))
+    got = assert_matches_oracle(points, 8, 0.1)
+    out_degree = np.bincount([i for i, _ in got], minlength=150)
+    assert 0 < out_degree.max() < 8 and out_degree.min() == 0
+
+
+@pytest.mark.parametrize("radius", [0.3, 10.0])
+def test_k_plus_one_exceeds_point_count(radius):
+    points = np.random.default_rng(12).uniform(0, 1, (5, 3))
+    assert_matches_oracle(points, 10, radius)
+
+
+def test_coincident_duplicates_match_oracle():
+    # Clusters far apart, each small enough that a point's ball (duplicates
+    # included) fits in the k + 1 query, so every non-duplicate neighbor
+    # inside the radius is an edge.
+    rng = np.random.default_rng(13)
+    centers = np.arange(8)[:, None] * np.array([1.0, 0.0, 0.0])
+    clusters = []
+    for c in centers:
+        pts = c + rng.uniform(0, 0.05, (3, 3))
+        clusters.append(np.concatenate([pts, pts[:1], pts[:1]]))
+    got = assert_matches_oracle(np.concatenate(clusters), 4, 0.2)
+    assert len(got) > 0
+
+
+def test_coincident_clusters_beyond_radius_not_degenerate():
+    # Each point's filled neighbor slots hold only duplicates; the empty
+    # slots stand for the other cluster beyond the radius.
+    cloud = make_cloud([[0, 0, 0]] * 3 + [[1, 0, 0]] * 3)
+    graph = build_knn_graph(cloud, k=4, max_radius=0.5)
+    assert graph.num_edges == 0

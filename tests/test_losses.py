@@ -4,6 +4,7 @@ import pytest
 from pointssl import (
     CorrespondenceSet,
     EmbeddingBatch,
+    KnnGraph,
     LogitsBatch,
     LossConfig,
     adaptive_sigma,
@@ -232,6 +233,63 @@ class TestConsistency:
         assert loss == 0.0 and not grad.any()
 
 
+def _add_at_laplacian(values, graph, form, delta):
+    """Reference forms written with np.add.at, the accumulation order the
+    losses must reproduce bit for bit."""
+    n = len(values)
+    src, tgt, w = graph.source, graph.target, graph.weight
+    if form == "pairwise":
+        diff = values[src] - values[tgt]
+        loss = float((w * np.einsum("ij,ij->i", diff, diff)).sum() / len(src))
+        scaled = (2.0 / len(src)) * w[:, None] * diff
+        grad = np.zeros_like(values)
+        np.add.at(grad, src, scaled)
+        np.add.at(grad, tgt, -scaled)
+        return loss, grad
+    w_sum = np.zeros(n)
+    np.add.at(w_sum, src, w)
+    mean = np.zeros_like(values)
+    np.add.at(mean, src, w[:, None] * values[tgt])
+    connected = w_sum > 0.0
+    mean[connected] /= w_sum[connected, None]
+    residual = np.where(connected[:, None], values - mean, 0.0)
+    norms = np.linalg.norm(residual, axis=1)
+    quad, lin = 0.5 * norms * norms, delta * (norms - 0.5 * delta)
+    loss = float(np.where(norms <= delta, quad, lin).sum() / n)
+    scale = np.ones(n)
+    beyond = norms > delta
+    scale[beyond] = delta / norms[beyond]
+    g = scale[:, None] * residual
+    grad = g.copy()
+    np.add.at(grad, tgt, -(w / w_sum[src])[:, None] * g[src])
+    return loss, grad / n
+
+
+@pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
+def test_laplacian_bit_identical_to_add_at(form):
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        n = int(rng.integers(2, 80))
+        # Edges among the first half only: the rest are isolated nodes, and
+        # targets repeat across sources.
+        m = max(n // 2, 2)
+        src = rng.integers(0, m, size=int(rng.integers(1, 4 * n)))
+        tgt = (src + rng.integers(1, m, size=len(src))) % m
+        dist = rng.uniform(0.01, 0.1, len(src))
+        graph = KnnGraph(k=4, source=src, target=tgt, distance=dist,
+                         weight=np.exp(-((dist / 0.05) ** 2)), sigma=0.05,
+                         max_radius=0.1, num_nodes=n)
+        values = rng.normal(0, 1, (n, int(rng.integers(1, 33))))
+        delta = float(rng.choice([0.05, 0.5, 5.0]))
+        loss, grad = laplacian_loss(
+            EmbeddingBatch(values, rng.uniform(0, 1, (n, 3))), graph,
+            LossConfig(laplacian_form=form, huber_delta=delta),
+        )
+        ref_loss, ref_grad = _add_at_laplacian(values, graph, form, delta)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
 class TestMatchCorrespondences:
     def test_identity_pairing(self):
         rng = np.random.default_rng(0)
@@ -255,6 +313,17 @@ class TestMatchCorrespondences:
         pairs = match_correspondences(teacher, student, max_distance=0.05)
         assert len(pairs) == 0
 
+    @pytest.mark.parametrize(
+        "cutoff, beyond",
+        [(0.0, 1e-12), (0.05, np.nextafter(0.05, 1.0)), (0.25, np.nextafter(0.25, 1.0))],
+    )
+    def test_pair_at_exactly_the_cutoff_kept(self, cutoff, beyond):
+        teacher = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        student = np.array([[cutoff, 0.0, 0.0], [5.0, 0.0, beyond]])
+        pairs = match_correspondences(teacher, student, max_distance=cutoff)
+        np.testing.assert_array_equal(pairs.student_indices, [0])
+        np.testing.assert_array_equal(pairs.teacher_indices, [0])
+
     def test_empty_view_warns(self):
         with pytest.warns(UserWarning, match="empty view"):
             pairs = match_correspondences(np.empty((0, 3)), np.ones((3, 3)))
@@ -263,6 +332,10 @@ class TestMatchCorrespondences:
     def test_unique_student_indices_enforced(self):
         with pytest.raises(ValueError, match="unique"):
             CorrespondenceSet([0, 0], [1, 2])
+
+    def test_unsorted_unique_student_indices_accepted(self):
+        pairs = CorrespondenceSet([3, 0, 2, 1], [0, 1, 2, 3])
+        np.testing.assert_array_equal(pairs.student_indices, [3, 0, 2, 1])
 
 
 class TestTotalLoss:

@@ -17,6 +17,7 @@ from pointssl import (
 from pointssl.gradcheck import _check_encoder, finite_difference, relative_error
 from pointssl.model import (
     TeacherState,
+    encode_backward,
     encode_features,
     init_teacher,
     load_checkpoint,
@@ -105,6 +106,60 @@ class TestEncode:
         rng = make_rng(7)
         for _ in range(3):
             assert _check_encoder(rng) < 1e-4
+
+
+
+def _reference_backward(params, features, mask, grad_embeddings):
+    """Forward and backward that recompute sigmoid(a) from scratch per layer."""
+    f = np.array(features, dtype=np.float64)
+    if mask is not None:
+        f[mask] = params.mask_token
+    inputs, preacts, h = [f], [], f
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = h @ w + b
+        preacts.append(a)
+        h = a * (1.0 / (1.0 + np.exp(-a)))
+        inputs.append(h)
+    raw = h @ params.weights[-1] + params.biases[-1]
+    norms = np.linalg.norm(raw, axis=1)
+    floored = norms < 1e-8
+    safe = np.where(floored, 1.0, norms)
+    z = raw / safe[:, None]
+    z[floored] = 0.0
+    z[floored, 0] = 1.0
+    g = grad_embeddings
+    upstream = (g - z * np.einsum("ij,ij->i", z, g)[:, None]) / safe[:, None]
+    upstream[floored] = 0.0
+    weights, biases = [None] * len(params.weights), [None] * len(params.weights)
+    for i in range(len(params.weights) - 1, -1, -1):
+        if i < len(preacts):
+            sig = 1.0 / (1.0 + np.exp(-preacts[i]))
+            upstream = upstream * (sig * (1.0 + preacts[i] * (1.0 - sig)))
+        weights[i] = inputs[i].T @ upstream
+        biases[i] = upstream.sum(axis=0)
+        upstream = upstream @ params.weights[i].T
+    token = upstream[mask].sum(axis=0) if mask is not None and mask.any() else None
+    return z, weights, biases, token
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (32, 32)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
+    rng = np.random.default_rng(len(hidden) + 10 * masked)
+    params = init_encoder(9, hidden, 8, seed=len(hidden))
+    features = rng.normal(0, 2, (50, 9))
+    mask = rng.random(50) < 0.3 if masked else None
+    grad_embeddings = rng.normal(0, 1, (50, 8))
+    cache = encode_features(params, features, mask)
+    grads = encode_backward(params, cache, grad_embeddings)
+    z, weights, biases, token = _reference_backward(params, features, mask, grad_embeddings)
+    assert np.array_equal(cache.embeddings, z)
+    for got, want in zip(grads.weights + grads.biases, weights + biases):
+        assert np.array_equal(got, want)
+    if masked:
+        assert np.array_equal(grads.mask_token, token)
+    else:
+        assert not grads.mask_token.any()
 
 
 class TestPrototypeHead:
