@@ -202,6 +202,43 @@ def _exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
+def _self_knn(points: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of each point's k nearest points, counting the point
+    itself (or, among coincident duplicates, one of them in its place).
+
+    The query runs on every available core; each row is searched on its own,
+    so the indices are those of a single-threaded query.
+    """
+    _, nbr = cKDTree(points).query(points, k=k, workers=-1)
+    return nbr.reshape(len(points), k)
+
+
+def _bounded_knn(points: np.ndarray, k: int, bound: float) -> np.ndarray:
+    """Per point, its coincident duplicates (itself included) and then its k
+    nearest other points closer than bound, as rows of indices.
+
+    Slots with no point closer than bound hold len(points).
+    """
+    n = len(points)
+    tree = cKDTree(points)
+    dist, nbr = tree.query(points, k=min(k + 1, n), distance_upper_bound=bound)
+    if k + 1 >= n:
+        return nbr
+    # A zero distance in the second slot is a duplicate.  When every slot is
+    # filled, duplicates may have crowded out some of the k nearest other
+    # points, so those rows are queried again with room for all of them.
+    crowded = np.flatnonzero((dist[:, 1] == 0.0) & (nbr[:, -1] < n))
+    if crowded.size == 0:
+        return nbr
+    slots = np.minimum(k + tree.query_ball_point(points[crowded], r=0.0, return_length=True), n)
+    wide = np.full((n, slots.max()), n)
+    wide[:, : k + 1] = nbr
+    for m in np.unique(slots):
+        rows = crowded[slots == m]
+        wide[rows, :m] = tree.query(points[rows], k=m, distance_upper_bound=bound)[1]
+    return wide
+
+
 def build_knn_graph(
     cloud: PointCloud,
     k: int,
@@ -211,7 +248,10 @@ def build_knn_graph(
     """Build the exact k-nearest-neighbor graph with Gaussian edge weights.
 
     Each point contributes up to k outgoing edges to its nearest neighbors by
-    Euclidean distance; edges longer than max_radius are removed.  With
+    Euclidean distance; edges longer than max_radius are removed.  Coincident
+    duplicates of a point get no edge and take none of its k places.  Among
+    neighbors exactly equidistant at the k-th place, the tree's traversal
+    decides which are kept, not their order in the cloud.  With
     sigma="adaptive" the scale is the median of the retained neighbor
     distances, otherwise the given fixed value is used.
 
@@ -229,20 +269,15 @@ def build_knn_graph(
 
     pts = cloud.positions[valid_idx]
     n = len(pts)
-    tree = cKDTree(pts)
-    k_query = min(k + 1, n)
     # The tree keeps only distances strictly below its bound; the inflated
-    # bound still returns every neighbor the exact filter below keeps.  Slots
-    # with no neighbor inside it hold the index n.
-    _, nbr = tree.query(pts, k=k_query, distance_upper_bound=max_radius * (1.0 + 1e-9))
-    nbr = nbr.reshape(n, k_query)
+    # bound still returns every neighbor the exact filter below keeps.
+    nbr = _bounded_knn(pts, k, max_radius * (1.0 + 1e-9))
     found = nbr < n
     rows, slots = np.nonzero(found)
     cols = nbr[rows, slots]
     dvals = _exact_distances(pts[rows], pts[cols])
-    # The k+1 query always contains a zero-distance entry (the point itself,
-    # or a coincident duplicate), so dropping zero-distance edges leaves at
-    # most k outgoing edges per point.
+    # Each row holds at most k points at a positive distance, so dropping
+    # zero-distance entries leaves at most k outgoing edges per point.
     keep = (rows != cols) & (dvals > 0.0) & (dvals <= max_radius)
     src, tgt, dvals, all_dvals = rows[keep], cols[keep], dvals[keep], dvals
 
@@ -278,9 +313,7 @@ def build_knn_graph(
 
 def mean_knn_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Per-point mean distance to the k nearest neighbors (self excluded)."""
-    tree = cKDTree(points)
-    _, nbr = tree.query(points, k=k + 1)
-    dist = _exact_distances(points[:, None, :], points[nbr.reshape(len(points), k + 1)])
+    dist = _exact_distances(points[:, None, :], points[_self_knn(points, k + 1)])
     return dist[:, 1:].mean(axis=1)
 
 
@@ -358,10 +391,15 @@ def detect_dominant_plane(
     best_count = -1
     best_iter = -1
     block = 128
+    # Every block's distances go to one buffer, so scoring holds a single
+    # (n, block) array instead of allocating a fresh one per block.
+    buffer = np.empty(n * min(block, iterations))
     for start in range(0, iterations, block):
         sl = slice(start, min(start + block, iterations))
-        dist = np.abs(pts @ normals[sl].T - offsets[sl])
-        counts = (dist <= inlier_threshold).sum(axis=0)
+        dist = np.matmul(pts, normals[sl].T, out=buffer[: n * (sl.stop - start)].reshape(n, -1))
+        dist -= offsets[sl]
+        np.abs(dist, out=dist)
+        counts = np.count_nonzero(dist <= inlier_threshold, axis=0)
         counts[~ok[sl]] = 0
         local_best = int(np.argmax(counts))
         if counts[local_best] > best_count:
@@ -488,10 +526,8 @@ def estimate_normals(
         raise EmptyCloudError(f"normal estimation needs more than k={k} valid points")
 
     pts = cloud.positions[valid_idx]
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=k + 1)
-    neighborhoods = pts[nbr]
-    centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
+    centered = pts[_self_knn(pts, k + 1)]
+    centered -= centered.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
     eigvals, eigvecs = np.linalg.eigh(cov)
 

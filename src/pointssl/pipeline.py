@@ -16,7 +16,7 @@ import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +172,7 @@ def align_scene(
     if plane is not None:
         # scale_align works about the centroid, which would lift the aligned
         # floor off z = 0; shift back so the net scaling is about the origin
-        from dataclasses import replace as _replace
-
-        cloud = _replace(cloud, positions=cloud.positions - scale_transform.translation)
+        cloud = replace(cloud, positions=cloud.positions - scale_transform.translation)
         scale_transform = RigidSimilarity(np.eye(3), np.zeros(3), scale_transform.scale)
     transform = scale_transform.compose(transform)
     report.alpha = scale_transform.scale

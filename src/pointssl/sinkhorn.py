@@ -30,10 +30,13 @@ class LogitsBatch:
             raise ValueError(f"logits must be 2-D, got shape {v.shape}")
         if v.shape[1] < 2:
             raise ValueError("need at least 2 prototypes")
-        if np.isnan(v).any() or np.isposinf(v).any():
-            raise ValueError("logits must not contain NaN or +Inf")
-        if np.isneginf(v).all(axis=1).any():
-            raise ValueError("a row of all -Inf cannot be assigned")
+        # One pass covers the common all-finite case; only a matrix holding a
+        # NaN or an infinity runs the checks that tell which error to raise.
+        if not np.isfinite(v).all():
+            if np.isnan(v).any() or np.isposinf(v).any():
+                raise ValueError("logits must not contain NaN or +Inf")
+            if np.isneginf(v).all(axis=1).any():
+                raise ValueError("a row of all -Inf cannot be assigned")
         if not self.temperature > 0.0:
             raise ValueError("temperature must be positive")
         object.__setattr__(self, "values", frozen_array(v))

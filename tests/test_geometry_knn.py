@@ -172,3 +172,38 @@ def test_coincident_clusters_beyond_radius_not_degenerate():
     cloud = make_cloud([[0, 0, 0]] * 3 + [[1, 0, 0]] * 3)
     graph = build_knn_graph(cloud, k=4, max_radius=0.5)
     assert graph.num_edges == 0
+
+
+def distances_by_source(edges):
+    by_source = {}
+    for (i, _), d in edges.items():
+        by_source.setdefault(i, []).append(d)
+    return {i: sorted(ds) for i, ds in by_source.items()}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_two_duplicate_triples(k):
+    # Each point's duplicates must not use up its k places.  Its candidates
+    # all tie at 0.01 m, so which of them is kept is not compared.
+    points = np.array([[0.0, 0.0, 0.0]] * 3 + [[0.01, 0.0, 0.0]] * 3)
+    got = graph_edges(build_knn_graph(make_cloud(points), k=k, max_radius=1.0))
+    expected = brute_force_knn(points, k, 1.0)
+    assert distances_by_source(got) == distances_by_source(expected)
+    assert all((i < 3) != (j < 3) for i, j in got)
+
+
+@pytest.mark.parametrize("radius", [2.2, 10.0])
+def test_duplicate_cluster_larger_than_k_matches_oracle(radius):
+    # Six copies of one point, far from a random cloud: the copies reach past
+    # each other to their k nearest cloud points, and no cloud point has the
+    # copies (which would tie) among its k nearest.
+    rng = np.random.default_rng(15)
+    points = np.concatenate([np.zeros((6, 3)), rng.uniform(1, 2, (40, 3))])
+    points = points[rng.permutation(len(points))]
+    copies = np.flatnonzero(~points.any(axis=1))
+    for k in (1, 2, 3):
+        got = assert_matches_oracle(points, k, radius)
+        out_degree = np.bincount([i for i, _ in got], minlength=len(points))
+        assert (out_degree[copies] > 0).all()
+        if radius == 10.0:
+            assert (out_degree[copies] == k).all()

@@ -1,9 +1,35 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from pointssl import EmptyCloudError, estimate_normals
+from pointssl import EmptyCloudError, PointCloud, estimate_normals
 
-from conftest import make_cloud
+from conftest import make_cloud, toy_room
+
+
+def reference_normals(cloud, k):
+    """Single-threaded query and the PCA formula, written out step by step."""
+    valid_idx = np.flatnonzero(cloud.valid)
+    pts = cloud.positions[valid_idx]
+    _, nbr = cKDTree(pts).query(pts, k=k + 1)
+    neighborhoods = pts[nbr]
+    centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
+    normals = eigvecs[:, :, 0]
+    degenerate = eigvals[:, 1] <= 1e-12 * np.maximum(eigvals[:, 2], 0.0)
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    sign = np.zeros(len(normals))
+    for axis in (2, 0, 1):
+        use = (sign == 0.0) & (np.abs(normals[:, axis]) >= 1e-6)
+        sign[use] = np.sign(normals[use, axis])
+    sign[sign == 0.0] = 1.0
+    normals *= sign[:, None]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    full_normals = np.tile([0.0, 0.0, 1.0], (len(cloud), 1))
+    full_normals[valid_idx] = normals
+    full_degenerate = np.ones(len(cloud), dtype=bool)
+    full_degenerate[valid_idx] = degenerate
+    return full_normals, full_degenerate
 
 
 def test_plane_normals():
@@ -62,3 +88,22 @@ def test_unit_norm_output():
 def test_needs_more_than_k_points():
     with pytest.raises(EmptyCloudError):
         estimate_normals(make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3))), k=10)
+
+
+def _bit_exact_cases():
+    rng = np.random.default_rng(4)
+    room = toy_room(seed=3, extents=(3.2, 2.4, 1.6), max_points=6000)
+    valid = rng.random(len(room)) > 0.05
+    yield PointCloud(positions=room.positions, valid=valid), 16
+    pile = np.concatenate([np.zeros((8, 3)), rng.uniform(0, 1, (200, 3))])
+    yield make_cloud(np.concatenate([pile, pile[:40]])), 6
+    line = np.column_stack([np.linspace(1, 2, 8), np.zeros(8), np.zeros(8)])
+    yield make_cloud(np.concatenate([np.zeros((8, 3)), line])), 4
+
+
+def test_bit_identical_to_reference():
+    for cloud, k in _bit_exact_cases():
+        out, degenerate = estimate_normals(cloud, k=k, return_degenerate=True)
+        ref_normals, ref_degenerate = reference_normals(cloud, k)
+        assert np.array_equal(out.normals, ref_normals)
+        assert np.array_equal(degenerate, ref_degenerate)

@@ -2,8 +2,29 @@ import numpy as np
 import pytest
 
 from pointssl import EmptyCloudError, detect_dominant_plane
+from pointssl.rng import make_rng
 
 from conftest import make_cloud
+
+
+def reference_best_hypothesis(points, iterations, inlier_threshold, seed):
+    """The sampling stream and scoring of detect_dominant_plane, one
+    hypothesis at a time: the best hypothesis's normal, offset and count."""
+    n = len(points)
+    rng = make_rng(seed)
+    samples = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    p0, p1, p2 = points[samples[:, 0]], points[samples[:, 1]], points[samples[:, 2]]
+    normals = np.cross(p1 - p0, p2 - p0)
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms > 1e-12
+    normals[ok] /= norms[ok, None]
+    offsets = np.einsum("ij,ij->i", normals, p0)
+    best, best_count = -1, -1
+    for i in range(iterations):
+        count = int((np.abs(points @ normals[i] - offsets[i]) <= inlier_threshold).sum()) if ok[i] else 0
+        if count > best_count:
+            best, best_count = i, count
+    return normals[best], offsets[best], best_count
 
 
 def _noisy_plane_scene(rng, n_plane=2000, n_clutter=200, z=0.3, noise=0.005):
@@ -82,3 +103,29 @@ def test_deterministic_for_fixed_seed():
     b = detect_dominant_plane(cloud, 128, 0.02, seed=11)
     np.testing.assert_array_equal(a.normal, b.normal)
     assert a.offset == b.offset and a.inlier_count == b.inlier_count
+
+
+def test_points_exactly_at_threshold_count_as_inliers():
+    # Floor z = 0 and wall x = 0: hypotheses drawn from either have exact
+    # axis normals, so a floor point at z = +-threshold lies exactly at the
+    # threshold.  The floor wins only if those points count as inliers.
+    rng = np.random.default_rng(14)
+    threshold = 0.02
+    floor = np.column_stack([rng.uniform(1, 2, (100, 2)), np.zeros(100)])
+    edge = np.column_stack([rng.uniform(1, 2, (40, 2)),
+                            np.where(rng.random(40) < 0.5, -threshold, threshold)])
+    wall = np.column_stack([np.zeros(120), rng.uniform(1, 2, (120, 2))])
+    points = np.concatenate([floor, edge, wall])[rng.permutation(260)]
+
+    normal, offset, count = reference_best_hypothesis(points, 256, threshold, seed=5)
+    assert np.array_equal(np.abs(normal), [0.0, 0.0, 1.0]) and count == 140
+
+    plane = detect_dominant_plane(make_cloud(points), 256, threshold, seed=5,
+                                  min_inlier_ratio=0.0)
+    inliers = np.abs(points @ normal - offset) <= threshold
+    centroid = points[inliers].mean(axis=0)
+    refit = np.linalg.svd(points[inliers] - centroid, full_matrices=False)[2][-1]
+    refit = -refit if refit[np.argmax(np.abs(refit))] < 0 else refit
+    assert np.array_equal(plane.normal, refit)
+    assert plane.offset == float(refit @ centroid)
+    assert plane.inlier_count == int((np.abs(points @ refit - refit @ centroid) <= threshold).sum())

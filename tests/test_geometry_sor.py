@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pointssl import PointCloud, sor_filter
+from pointssl.geometry import mean_knn_distances
 
-from conftest import make_cloud
+from conftest import make_cloud, toy_room
 
 
 def brute_force_sor_survivors(points, k, std_mult):
@@ -93,3 +95,16 @@ def test_preserves_order_and_attributes():
 def test_rejects_bad_std_mult():
     with pytest.raises(ValueError):
         sor_filter(make_cloud(np.zeros((30, 3))), k=4, std_mult=0.0)
+
+
+def test_mean_knn_distances_bit_identical_to_reference():
+    # Single-threaded query, then the distance formula written out.
+    rng = np.random.default_rng(8)
+    room = toy_room(seed=4, extents=(3.2, 2.4, 1.6), max_points=6000).positions
+    clouds = [room, np.concatenate([room[:500], room[:100]]), rng.uniform(0, 1, (300, 3))]
+    for points in clouds:
+        for k in (1, 8, 16):
+            _, nbr = cKDTree(points).query(points, k=k + 1)
+            diff = points[:, None, :] - points[nbr]
+            expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[:, 1:].mean(axis=1)
+            assert np.array_equal(mean_knn_distances(points, k), expected)

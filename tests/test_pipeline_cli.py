@@ -86,14 +86,15 @@ class TestCliAlign:
         scenes.mkdir()
         for i in range(3):
             write_ply(scenes / f"s{i}.ply", toy_room(seed=10 + i, max_points=2000))
-        serial = cli_align(scenes, tmp_path / "o1", PipelineConfig(downsample_points=1500))
-        parallel = cli_align(
-            scenes, tmp_path / "o2", PipelineConfig(downsample_points=1500), jobs=3
-        )
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.name == b.name
-            assert a.alpha == b.alpha
-            assert a.final_diagonal == b.final_diagonal
+        config = PipelineConfig(downsample_points=1500)
+        serial = cli_align(scenes, tmp_path / "o1", config)
+        for jobs in (2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            parallel = cli_align(scenes, out, config, jobs=jobs)
+            assert len(parallel.rows) == len(serial.rows) == 3
+            for a, b in zip(serial.rows, parallel.rows):
+                assert {**a.to_dict(), "wall_time": 0} == {**b.to_dict(), "wall_time": 0}
+                assert (out / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_report_roundtrips(self):
         report = PipelineReport(rows=[

@@ -129,6 +129,26 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             LogitsBatch(np.array([[np.inf, 0.0]]))
 
+    def test_each_non_finite_case_keeps_its_message(self):
+        base = np.zeros((3, 4))
+        for value, message in ((np.nan, "NaN or \\+Inf"), (np.inf, "NaN or \\+Inf")):
+            values = base.copy()
+            values[1, 2] = value
+            values[2] = -np.inf
+            with pytest.raises(ValueError, match=message):
+                LogitsBatch(values)
+        values = base.copy()
+        values[2] = -np.inf
+        with pytest.raises(ValueError, match="row of all -Inf"):
+            LogitsBatch(values)
+
+    def test_partial_neginf_row_accepted(self):
+        values = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, 2.0]])
+        batch = LogitsBatch(values)
+        np.testing.assert_array_equal(batch.values, values)
+        assignments = softmax_rows(batch).values
+        assert assignments[1, 2] == 1.0 and assignments[0, 1] == 0.0
+
     def test_assignment_matrix_validation(self):
         with pytest.raises(ValueError):
             AssignmentMatrix(np.array([[0.7, 0.7]]))
