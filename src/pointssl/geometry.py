@@ -9,6 +9,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -206,37 +207,49 @@ def _self_knn(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, counting the point
     itself (or, among coincident duplicates, one of them in its place).
 
-    The query runs on every available core; each row is searched on its own,
-    so the indices are those of a single-threaded query.
+    The query runs one thread per CPU this process may use; each row is
+    searched on its own, so the indices are those of a single-threaded query.
     """
-    _, nbr = cKDTree(points).query(points, k=k, workers=-1)
+    _, nbr = cKDTree(points).query(points, k=k, workers=_usable_cpus())
     return nbr.reshape(len(points), k)
 
 
-def _bounded_knn(points: np.ndarray, k: int, bound: float) -> np.ndarray:
-    """Per point, its coincident duplicates (itself included) and then its k
-    nearest other points closer than bound, as rows of indices.
+def _usable_cpus() -> int:
+    # scipy's workers=-1 counts every CPU of the machine, including those
+    # outside this process's affinity mask.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Slots with no point closer than bound hold len(points).
+
+def _bounded_knn(tree: cKDTree, k: int, bound: float) -> np.ndarray:
+    """Per point, a row of min(k + 1, n) indices: its k nearest other points
+    closer than bound, and in any other slot a point at distance 0 from it
+    (itself or a coincident duplicate).  Slots with no point hold n = tree.n.
     """
-    n = len(points)
-    tree = cKDTree(points)
+    points, n = tree.data, tree.n
     dist, nbr = tree.query(points, k=min(k + 1, n), distance_upper_bound=bound)
     if k + 1 >= n:
         return nbr
     # A zero distance in the second slot is a duplicate.  When every slot is
     # filled, duplicates may have crowded out some of the k nearest other
-    # points, so those rows are queried again with room for all of them.
+    # points.  Coincident points share their neighbors, so one point of each
+    # group is queried again with room for all its duplicates, and the last k
+    # slots of that query fill the rows of the whole group.
     crowded = np.flatnonzero((dist[:, 1] == 0.0) & (nbr[:, -1] < n))
     if crowded.size == 0:
         return nbr
-    slots = np.minimum(k + tree.query_ball_point(points[crowded], r=0.0, return_length=True), n)
-    wide = np.full((n, slots.max()), n)
-    wide[:, : k + 1] = nbr
+    # Each group's slot count comes from the tree, so a group split by its
+    # coordinates' bits (0.0 against -0.0) is still right, only queried twice.
+    _, first, group = np.unique(points[crowded], axis=0, return_index=True, return_inverse=True)
+    reps = crowded[first]
+    slots = np.minimum(k + tree.query_ball_point(points[reps], r=0.0, return_length=True), n)
+    others = np.empty((len(reps), k), nbr.dtype)
     for m in np.unique(slots):
-        rows = crowded[slots == m]
-        wide[rows, :m] = tree.query(points[rows], k=m, distance_upper_bound=bound)[1]
-    return wide
+        sel = np.flatnonzero(slots == m)
+        others[sel] = tree.query(points[reps[sel]], k=m, distance_upper_bound=bound)[1][:, -k:]
+    nbr[crowded, 1:] = others[group.reshape(-1)]
+    return nbr
 
 
 def build_knn_graph(
@@ -269,23 +282,21 @@ def build_knn_graph(
 
     pts = cloud.positions[valid_idx]
     n = len(pts)
+    tree = cKDTree(pts)
+    if tree.query_ball_point(pts[0], r=0.0, return_length=True) == n:
+        raise DegenerateGeometryError("all valid points coincide; sigma would be 0")
     # The tree keeps only distances strictly below its bound; the inflated
     # bound still returns every neighbor the exact filter below keeps.
-    nbr = _bounded_knn(pts, k, max_radius * (1.0 + 1e-9))
-    found = nbr < n
-    rows, slots = np.nonzero(found)
+    nbr = _bounded_knn(tree, k, max_radius * (1.0 + 1e-9))
+    rows, slots = np.nonzero(nbr < n)
     cols = nbr[rows, slots]
     dvals = _exact_distances(pts[rows], pts[cols])
     # Each row holds at most k points at a positive distance, so dropping
     # zero-distance entries leaves at most k outgoing edges per point.
     keep = (rows != cols) & (dvals > 0.0) & (dvals <= max_radius)
-    src, tgt, dvals, all_dvals = rows[keep], cols[keep], dvals[keep], dvals
+    src, tgt, dvals = rows[keep], cols[keep], dvals[keep]
 
     if dvals.size == 0:
-        # A slot left empty by the bound held a point beyond max_radius, so
-        # the points coincide only if every slot was filled at distance 0.
-        if found.all() and all_dvals[rows != cols].max() == 0.0:
-            raise DegenerateGeometryError("all valid points coincide; sigma would be 0")
         sigma_val = float(sigma) if sigma != "adaptive" else float("nan")
         return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
                         np.empty(0), np.empty(0), sigma_val, float(max_radius),
@@ -391,8 +402,8 @@ def detect_dominant_plane(
     best_count = -1
     best_iter = -1
     block = 128
-    # Every block's distances go to one buffer, so scoring holds a single
-    # (n, block) array instead of allocating a fresh one per block.
+    # A flat buffer sliced per block keeps every block, the shorter last one
+    # included, C-contiguous, so matmul writes into it without a temporary.
     buffer = np.empty(n * min(block, iterations))
     for start in range(0, iterations, block):
         sl = slice(start, min(start + block, iterations))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,67 @@ def test_duplicate_cluster_larger_than_k_matches_oracle(radius):
         assert (out_degree[copies] > 0).all()
         if radius == 10.0:
             assert (out_degree[copies] == k).all()
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_large_coincident_cloud_raises_without_quadratic_memory():
+    n = 3000
+    cloud = make_cloud(np.full((n, 3), 0.5))
+
+    def build():
+        with pytest.raises(DegenerateGeometryError):
+            build_knn_graph(cloud, k=16, max_radius=1.0)
+
+    # One n x n index array would take n * n * 8 bytes.
+    assert peak_traced_bytes(build) < n * n * 8 / 4
+
+
+def test_large_duplicate_cluster_matches_oracle_without_quadratic_memory():
+    # A thousand copies of one point beside a random cloud: the copies reach
+    # past each other to their k nearest cloud points, and each cloud point's
+    # k nearest lie inside the cloud.
+    rng = np.random.default_rng(16)
+    points = np.concatenate([np.zeros((1000, 3)), rng.uniform(1, 2, (200, 3))])
+    points = points[rng.permutation(len(points))]
+    n, k = len(points), 4
+    assert peak_traced_bytes(
+        lambda: build_knn_graph(make_cloud(points), k=k, max_radius=10.0)
+    ) < n * n * 8 / 4
+    got = assert_matches_oracle(points, k, 10.0)
+    out_degree = np.bincount([i for i, _ in got], minlength=n)
+    assert (out_degree == k).all()
+
+
+def test_duplicate_groups_of_several_sizes_match_oracle_distances():
+    # Groups of 2 to 7 copies inside a random cloud are queried again in
+    # batches of equal size.  Copies tie with each other as neighbors of
+    # other points, so only the distances per source are compared.
+    rng = np.random.default_rng(17)
+    cloud = rng.uniform(0, 1, (120, 3))
+    points = np.concatenate([cloud] + [np.repeat(cloud[i : i + 1], c - 1, axis=0)
+                                       for i, c in enumerate(range(2, 8))])
+    points = points[rng.permutation(len(points))]
+    for k in (1, 3, 5):
+        got = graph_edges(build_knn_graph(make_cloud(points), k=k, max_radius=0.3))
+        expected = brute_force_knn(points, k, 0.3)
+        assert distances_by_source(got) == distances_by_source(expected)
+
+
+def test_duplicates_with_signed_zeros_match_oracle_distances():
+    # 0.0 and -0.0 coordinates coincide, so all four copies are one point.
+    rng = np.random.default_rng(18)
+    copies = np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5]] * 2)
+    points = np.concatenate([copies, rng.uniform(-0.5, 0.5, (60, 3))])
+    for k in (1, 2, 4):
+        got = graph_edges(build_knn_graph(make_cloud(points), k=k, max_radius=1.0))
+        expected = brute_force_knn(points, k, 1.0)
+        assert distances_by_source(got) == distances_by_source(expected)
