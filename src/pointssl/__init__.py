@@ -7,8 +7,7 @@ Library surface:
   stages (SOR filter, RANSAC plane, Z-up, scale, PCA normals).
 - sinkhorn: teacher soft assignments and the student softmax.
 - losses: clustering cross-entropy, Laplacian smoothing (pairwise and
-  Huber-residual forms), noise consistency, and the combined objective,
-  all with analytic gradients.
+  Huber-residual forms) and noise consistency, all with analytic gradients.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
 - views: global/local crop generation, grid masking, noise augmentation.
 - trainer: schedules and the full training loop.
@@ -35,14 +34,11 @@ from .geometry import (
 from .losses import (
     CorrespondenceSet,
     EmbeddingBatch,
-    LossBreakdown,
     LossConfig,
-    adaptive_sigma,
     clustering_ce,
     consistency_loss,
     laplacian_loss,
     match_correspondences,
-    total_loss,
 )
 from .model import (
     EncoderParams,
@@ -67,7 +63,6 @@ from .trainer import (
     init_train_state,
     prototype_usage_entropy,
     run_training,
-    schedule_value,
     train_step,
 )
 from .views import View, ViewConfig, ViewSet, add_noise, grid_mask, make_views
@@ -85,7 +80,6 @@ __all__ = [
     "GroundTruth",
     "KnnGraph",
     "LogitsBatch",
-    "LossBreakdown",
     "LossConfig",
     "MetricsRecord",
     "Plane",
@@ -101,7 +95,6 @@ __all__ = [
     "ViewConfig",
     "ViewSet",
     "aabb_diagonal",
-    "adaptive_sigma",
     "add_noise",
     "align_z_up",
     "build_knn_graph",
@@ -126,11 +119,9 @@ __all__ = [
     "run_training",
     "save_model",
     "scale_align",
-    "schedule_value",
     "sinkhorn_normalize",
     "softmax_rows",
     "sor_filter",
-    "total_loss",
     "train_step",
     "write_ply",
 ]

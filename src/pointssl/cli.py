@@ -124,7 +124,6 @@ def _add_train_toy(subparsers):
 
 def _cmd_train_toy(args) -> int:
     from .ply import read_ply
-    from .rng import make_rng
     from .trainer import TrainConfig, run_training
 
     overrides = {}
@@ -142,15 +141,7 @@ def _cmd_train_toy(args) -> int:
     if not scene_files:
         logger.error("no .ply scenes under %s", args.scenes)
         return 1
-    scenes = []
-    for i, path in enumerate(scene_files):
-        cloud, _ = read_ply(path)
-        if config.max_scene_points and len(cloud) > config.max_scene_points:
-            rng = make_rng(config.seed, 40, i)
-            keep = rng.choice(len(cloud), size=config.max_scene_points, replace=False)
-            keep.sort()
-            cloud = cloud.select(keep)
-        scenes.append(cloud)
+    scenes = [read_ply(path)[0] for path in scene_files]
 
     _, records = run_training(config, scenes, out_dir=args.out)
     last = records[-1]

@@ -3,8 +3,8 @@
 The checker perturbs each input coordinate by a central difference (step
 1e-5, float64) and compares against the analytic gradient with the
 norm-ratio metric |a - n| / max(|a|, |n|).  It is deliberately independent
-of the code paths it checks: it only ever calls the losses for their scalar
-values.
+of the code paths it checks: it only ever calls the losses and the training
+objective for their scalar values.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from .losses import (
 )
 from .model import encode_backward, encode_features, init_encoder
 from .rng import make_rng
+from .scenes import SceneSpec, generate_room
 from .sinkhorn import AssignmentMatrix, LogitsBatch, softmax_rows
+from .trainer import TrainConfig, init_train_state, step_objective
+from .views import make_views
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -126,6 +129,22 @@ def _check_consistency(rng: np.random.Generator) -> float:
     return relative_error(analytic, numeric)
 
 
+def _worst_tensor_error(tensors: dict, analytic: dict, value) -> float:
+    """Worst relative error over named tensors, each perturbed in place under value()."""
+    worst = 0.0
+    for name, tensor in tensors.items():
+        def value_of(x, _tensor=tensor):
+            saved = _tensor.copy()
+            _tensor[...] = x
+            out = value()
+            _tensor[...] = saved
+            return out
+
+        numeric = finite_difference(value_of, tensor.copy())
+        worst = max(worst, relative_error(analytic[name], numeric))
+    return worst
+
+
 def _check_encoder(rng: np.random.Generator) -> float:
     params = init_encoder(9, (8, 8), 6, seed=int(rng.integers(0, 2**31)))
     n = int(rng.integers(3, 9))
@@ -135,21 +154,36 @@ def _check_encoder(rng: np.random.Generator) -> float:
 
     cache = encode_features(params, features, mask)
     grads = encode_backward(params, cache, downstream)
+    return _worst_tensor_error(
+        params.tensors(), grads.tensors(),
+        lambda: float((encode_features(params, features, mask).embeddings * downstream).sum()),
+    )
 
-    worst = 0.0
-    tensors = params.tensors()
-    analytic = grads.tensors()
-    for name, tensor in tensors.items():
-        def value_of(x, _name=name, _tensor=tensor):
-            saved = _tensor.copy()
-            _tensor[...] = x
-            out = encode_features(params, features, mask)
-            _tensor[...] = saved
-            return float((out.embeddings * downstream).sum())
 
-        numeric = finite_difference(value_of, tensor.copy())
-        worst = max(worst, relative_error(analytic[name], numeric))
-    return worst
+def _check_step(rng: np.random.Generator) -> float:
+    """d total / d(student, head) through step_objective on two 256-point rooms."""
+    config = TrainConfig(
+        batch_size=2, num_prototypes=4, embed_dim=6, hidden=(8,),
+        laplacian_schedule=0.5, consistency_weight=0.7, seed=int(rng.integers(0, 2**31)),
+    )
+    state = init_train_state(config)
+    # The teacher starts as a copy of the student; move the student off it.
+    tensors = {**state.params.tensors(), "head.projection": state.head.projection}
+    for tensor in tensors.values():
+        tensor += rng.normal(0.0, 0.1, tensor.shape)
+    scene_views = []
+    for _ in range(config.batch_size):
+        scene, _ = generate_room(SceneSpec(
+            extents=(1.6, 1.2, 0.8), surface_density=110.0, furniture_count=2,
+            ghost_fraction=0.1, max_points=256, seed=int(rng.integers(0, 2**31)),
+        ))
+        scene_views.append(make_views(scene, int(rng.integers(0, 2**31)), config.views))
+
+    _, _, grads, _ = step_objective(state, scene_views, 0)
+    return _worst_tensor_error(
+        tensors, {**grads.params.tensors(), "head.projection": grads.head},
+        lambda: step_objective(state, scene_views, 0)[1],
+    )
 
 
 def run_gradcheck(trials: int = 100, seed: int = 0, encoder_trials: int = 5) -> dict:
@@ -168,6 +202,7 @@ def run_gradcheck(trials: int = 100, seed: int = 0, encoder_trials: int = 5) -> 
     for name, check in checks.items():
         report[name] = max(check() for _ in range(trials))
     report["encoder"] = max(_check_encoder(rng) for _ in range(encoder_trials))
+    report["step"] = _check_step(rng)
     report["tolerance"] = TOLERANCE
     report["passed"] = all(
         err < TOLERANCE for key, err in report.items()

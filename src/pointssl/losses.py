@@ -73,47 +73,16 @@ class CorrespondenceSet:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Weights and shapes of the full training objective.
+    """Shape of the Laplacian term; TrainConfig holds the weights of all terms."""
 
-    The clustering terms default to the 4:2:2 ratio.  laplacian_weight is
-    the schedule's end value; the trainer interpolates the live coefficient.
-    """
-
-    unmask_weight: float = 4.0
-    mask_weight: float = 2.0
-    roll_weight: float = 2.0
-    laplacian_weight: float = 3e-3
-    consistency_weight: float = 0.05
     huber_delta: float = 0.5
     laplacian_form: str = HUBER_RESIDUAL
 
     def __post_init__(self):
-        for name in ("unmask_weight", "mask_weight", "roll_weight",
-                     "laplacian_weight", "consistency_weight"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
         if not self.huber_delta > 0.0:
             raise ValueError("huber_delta must be positive")
         if self.laplacian_form not in (PAIRWISE, HUBER_RESIDUAL):
             raise ValueError(f"unknown laplacian_form {self.laplacian_form!r}")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-term loss values, the weighted total, and weighted gradients.
-
-    total = unmask_weight*unmask + mask_weight*mask + roll_weight*roll
-          + laplacian_coefficient*laplacian + consistency_weight*consistency.
-    gradients maps term name to the already-weighted gradient tensor.
-    """
-
-    unmask: float
-    mask: float
-    roll: float
-    laplacian: float
-    consistency: float
-    total: float
-    gradients: dict[str, np.ndarray]
 
 
 def _stable_log_softmax(logits: LogitsBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +112,6 @@ def clustering_ce(
     loss = -terms.sum() / b
     grad = (p - q) / (b * p_student_logits.temperature)
     return float(loss), grad
-
-
-def adaptive_sigma(graph_distances: np.ndarray) -> float:
-    """Median of the kNN distances (average of the middle two when even)."""
-    d = np.asarray(graph_distances, dtype=np.float64)
-    if d.size == 0:
-        raise ValueError("cannot take the median of an empty distance list")
-    return float(np.median(d))
 
 
 def _scatter_rows(
@@ -286,47 +247,3 @@ def match_correspondences(
     dist, nearest = tree.query(student_positions, k=1, distance_upper_bound=bound)
     keep = dist <= max_distance
     return CorrespondenceSet(np.flatnonzero(keep), nearest[keep])
-
-
-def total_loss(
-    unmask: tuple[float, np.ndarray],
-    mask: tuple[float, np.ndarray],
-    roll: tuple[float, np.ndarray],
-    laplacian: tuple[float, np.ndarray],
-    consistency: tuple[float, np.ndarray],
-    config: LossConfig,
-    laplacian_coefficient: float | None = None,
-) -> LossBreakdown:
-    """Combine the five loss terms into the full objective.
-
-    Each argument is a (value, gradient) pair as produced by the individual
-    losses.  laplacian_coefficient is the live scheduled value; it defaults
-    to config.laplacian_weight.  Gradients combine linearly with the same
-    weights as the values.
-    """
-    lam = config.laplacian_weight if laplacian_coefficient is None else laplacian_coefficient
-    weights = {
-        "unmask": config.unmask_weight,
-        "mask": config.mask_weight,
-        "roll": config.roll_weight,
-        "laplacian": lam,
-        "consistency": config.consistency_weight,
-    }
-    parts = {
-        "unmask": unmask,
-        "mask": mask,
-        "roll": roll,
-        "laplacian": laplacian,
-        "consistency": consistency,
-    }
-    total = sum(weights[name] * parts[name][0] for name in parts)
-    gradients = {name: weights[name] * parts[name][1] for name in parts}
-    return LossBreakdown(
-        unmask=float(unmask[0]),
-        mask=float(mask[0]),
-        roll=float(roll[0]),
-        laplacian=float(laplacian[0]),
-        consistency=float(consistency[0]),
-        total=float(total),
-        gradients=gradients,
-    )

@@ -48,6 +48,12 @@ class EncoderParams:
         out["mask_token"] = self.mask_token
         return out
 
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first tensor with a NaN or infinity."""
+        for name, t in self.tensors().items():
+            if not np.isfinite(t).all():
+                raise ValueError(f"non-finite encoder parameter {name!r}")
+
     def copy(self) -> "EncoderParams":
         return EncoderParams(
             [w.copy() for w in self.weights],
@@ -161,12 +167,6 @@ class EncodeCache:
     mask: np.ndarray | None
 
 
-def _check_finite(params: EncoderParams) -> None:
-    for name, t in params.tensors().items():
-        if not np.isfinite(t).all():
-            raise ValueError(f"non-finite encoder parameter {name!r}")
-
-
 def encode_features(
     params: EncoderParams, features: np.ndarray, mask: np.ndarray | None = None
 ) -> EncodeCache:
@@ -174,9 +174,9 @@ def encode_features(
 
     Masked rows (mask=True) have their features replaced by the learned mask
     token before the first layer.  Output rows are L2-normalized; rows whose
-    raw norm falls below 1e-8 emit the first basis vector instead.
+    raw norm falls below 1e-8 emit the first basis vector instead.  Callers
+    check the parameters first, once per batch (EncoderParams.check_finite).
     """
-    _check_finite(params)
     f = np.asarray(features, dtype=np.float64)
     if mask is not None:
         f = f.copy()
@@ -210,6 +210,7 @@ def encode(
     params: EncoderParams, cloud: PointCloud, mask: np.ndarray | None = None
 ) -> EmbeddingBatch:
     """Per-point embeddings for a cloud; deterministic, unit-norm rows."""
+    params.check_finite()
     cache = encode_features(params, point_features(cloud), mask)
     return EmbeddingBatch(values=cache.embeddings, positions=cloud.positions)
 

@@ -44,7 +44,7 @@ from .model import (
 )
 from .rng import make_rng
 from .sinkhorn import AssignmentMatrix, LogitsBatch, sinkhorn_normalize
-from .views import ViewConfig, make_views, noise_view
+from .views import ViewConfig, ViewSet, make_views, noise_view
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class Schedule:
         if self.kind == "linear":
             return self.start + (self.end - self.start) * t
         return self.end + (self.start - self.end) * 0.5 * (1.0 + np.cos(np.pi * t))
-
-
-def schedule_value(schedule: Schedule, step: int) -> float:
-    return schedule.value_at(step)
 
 
 def _schedule_from(spec, total_steps: int, default_kind="linear") -> Schedule:
@@ -142,7 +138,6 @@ class TrainConfig:
 
     views: ViewConfig | dict = field(default_factory=ViewConfig)
     max_scene_points: int | None = None
-    fixed_views: bool = False
 
     def __post_init__(self):
         for name in ("teacher_temperature", "laplacian_schedule", "ema_momentum", "weight_decay"):
@@ -150,17 +145,16 @@ class TrainConfig:
         if isinstance(self.views, dict):
             object.__setattr__(self, "views", ViewConfig(**self.views))
         object.__setattr__(self, "hidden", tuple(self.hidden))
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            unmask_weight=self.unmask_weight,
-            mask_weight=self.mask_weight,
-            roll_weight=self.roll_weight,
-            laplacian_weight=self.laplacian_schedule.end,
-            consistency_weight=self.consistency_weight,
-            huber_delta=self.huber_delta,
-            laplacian_form=self.laplacian_form,
-        )
+        LossConfig(huber_delta=self.huber_delta, laplacian_form=self.laplacian_form)
+        weights = (self.unmask_weight, self.mask_weight, self.roll_weight,
+                   self.laplacian_schedule.end, self.consistency_weight)
+        for name, value, least in (("batch_size", self.batch_size, 1),
+                                   ("num_prototypes", self.num_prototypes, 2),
+                                   ("every hidden width", min(self.hidden, default=1), 1),
+                                   ("sinkhorn_iterations", self.sinkhorn_iterations, 1),
+                                   ("every loss weight", min(weights), 0.0)):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def lr_at(self, step: int) -> float:
         warmup = max(1, int(round(self.warmup_fraction * self.total_steps)))
@@ -242,13 +236,8 @@ def prototype_usage_entropy(assignments) -> float:
 
 
 def _derive_seed(config: TrainConfig, step: int, scene_index: int, purpose: int) -> int:
-    effective_step = 0 if config.fixed_views else step
-    seq = np.random.SeedSequence((config.seed, effective_step, scene_index, purpose))
+    seq = np.random.SeedSequence((config.seed, step, scene_index, purpose))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _student_logit_grads(head: PrototypeHead, cache, grad_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return prototype_logits_backward(head, cache.embeddings, grad_logits)
 
 
 class _GradAccumulator:
@@ -257,11 +246,8 @@ class _GradAccumulator:
         self.head = np.zeros_like(head.projection)
 
     def add_encoder(self, grads: EncoderParams, scale: float) -> None:
-        for target, source in zip(self.params.weights, grads.weights):
+        for target, source in zip(self.params.tensors().values(), grads.tensors().values()):
             target += scale * source
-        for target, source in zip(self.params.biases, grads.biases):
-            target += scale * source
-        self.params.mask_token += scale * grads.mask_token
 
     def norm(self) -> float:
         total = float((self.head**2).sum())
@@ -270,7 +256,162 @@ class _GradAccumulator:
         return float(np.sqrt(total))
 
 
-def _adamw_step(state: TrainState, grads: _GradAccumulator) -> None:
+def step_objective(
+    state: TrainState, scene_views: list[ViewSet], step: int
+) -> tuple[dict[str, float], float, _GradAccumulator, np.ndarray]:
+    """The objective of one batch of views and its gradients; state is not changed.
+
+    Each term is averaged over the scenes; total weights them by the config's
+    clustering weights, the Laplacian schedule at step and consistency_weight.
+    Returns (terms, total, grads, q_all): grads holds d total / d(student
+    encoder, head projection), q_all the pooled Sinkhorn teacher assignments.
+    """
+    config = state.config
+    loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)
+    tau_s = config.student_temperature
+    tau_t = config.teacher_temperature.value_at(step)
+    lam = config.laplacian_schedule.value_at(step)
+    mu = config.consistency_weight
+
+    teacher_logits = []
+    for views in scene_views:
+        for view in views.global_views:
+            emb = encode_features(state.teacher.params, point_features(view.cloud))
+            teacher_logits.append(emb.embeddings @ state.teacher.head.projection)
+
+    pooled = np.concatenate(teacher_logits, axis=0)
+    q_all = sinkhorn_normalize(
+        LogitsBatch(pooled, tau_t), iterations=config.sinkhorn_iterations
+    ).values
+    q_split = np.split(q_all, np.cumsum([len(t) for t in teacher_logits])[:-1])
+
+    grads = _GradAccumulator(state.params, state.head)
+    terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
+    scale = 1.0 / len(scene_views)
+
+    for i, views in enumerate(scene_views):
+        g0, g1 = views.global_views
+        mask = views.mask
+        q0, q1 = q_split[2 * i], q_split[2 * i + 1]
+
+        cache_g0 = encode_features(state.params, point_features(g0.cloud), mask)
+        logits_g0 = cache_g0.embeddings @ state.head.projection
+        grad_logits_g0 = np.zeros_like(logits_g0)
+
+        # Mask loss: distill the teacher's assignments on the masked points.
+        if mask.any():
+            rows = np.flatnonzero(mask)
+            value, grad = clustering_ce(
+                AssignmentMatrix(q0[rows]), LogitsBatch(logits_g0[rows], tau_s)
+            )
+            terms["mask"] += value
+            grad_logits_g0[rows] += config.mask_weight * grad
+
+        # Roll loss: swapped global views as targets, matched by proximity.
+        pairs = match_correspondences(
+            g1.original_positions, g0.original_positions, config.correspondence_cutoff
+        )
+        if len(pairs):
+            value, grad = clustering_ce(
+                AssignmentMatrix(q1[pairs.teacher_indices]),
+                LogitsBatch(logits_g0[pairs.student_indices], tau_s),
+            )
+            terms["roll"] += value
+            grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
+
+        # Unmask loss: local views against the pooled teacher globals.
+        teacher_pos = np.concatenate([g0.original_positions, g1.original_positions])
+        q_teacher = np.concatenate([q0, q1])
+        teacher_tree = cKDTree(teacher_pos)
+        local_caches, local_rows, local_q = [], [], []
+        for local in views.local_views:
+            cache = encode_features(state.params, point_features(local.cloud))
+            lp = match_correspondences(
+                teacher_pos, local.original_positions,
+                config.correspondence_cutoff, teacher_tree=teacher_tree,
+            )
+            local_caches.append(cache)
+            local_rows.append(lp.student_indices)
+            local_q.append(q_teacher[lp.teacher_indices])
+        matched_counts = [len(r) for r in local_rows]
+        if sum(matched_counts) > 0:
+            logits_locals = [
+                c.embeddings[r] @ state.head.projection
+                for c, r in zip(local_caches, local_rows)
+            ]
+            value, grad = clustering_ce(
+                AssignmentMatrix(np.concatenate(local_q)),
+                LogitsBatch(np.concatenate(logits_locals), tau_s),
+            )
+            terms["unmask"] += value
+            offsets = np.cumsum([0] + matched_counts)
+            for j, (cache, rows) in enumerate(zip(local_caches, local_rows)):
+                if len(rows) == 0:
+                    continue
+                grad_view = np.zeros((len(cache.embeddings), q_all.shape[1]))
+                grad_view[rows] = config.unmask_weight * grad[offsets[j]:offsets[j + 1]]
+                g_emb, g_proj = prototype_logits_backward(state.head, cache.embeddings, grad_view)
+                grads.head += scale * g_proj
+                grads.add_encoder(encode_backward(state.params, cache, g_emb), scale)
+
+        # Laplacian smoothing on the student's unmasked global view.
+        grad_emb_g1 = None
+        if lam > 0.0:
+            cache_g1 = encode_features(state.params, point_features(g1.cloud))
+            graph = build_knn_graph(
+                g1.cloud, config.laplacian_knn, config.laplacian_max_radius
+            )
+            if graph.num_edges:
+                value, grad = laplacian_loss(
+                    EmbeddingBatch(cache_g1.embeddings, g1.cloud.positions), graph, loss_cfg
+                )
+                terms["laplacian"] += value
+                grad_emb_g1 = lam * grad
+
+        # Noise consistency between the noisy teacher view and the masked student view.
+        grad_emb_g0 = None
+        if mu > 0.0:
+            xa = noise_view(
+                g1, config.views.noise_sigma, config.views.noise_dropout,
+                _derive_seed(config, step, i, 1),
+            )
+            teacher_emb = encode_features(state.teacher.params, point_features(xa.cloud))
+            pairs_cons = match_correspondences(
+                xa.original_positions, g0.original_positions, config.correspondence_cutoff
+            )
+            if len(pairs_cons):
+                value, grad = consistency_loss(
+                    EmbeddingBatch(teacher_emb.embeddings, xa.cloud.positions),
+                    EmbeddingBatch(cache_g0.embeddings, g0.cloud.positions),
+                    pairs_cons,
+                )
+                terms["consistency"] += value
+                grad_emb_g0 = mu * grad
+
+        # Backpropagate the masked-global-view gradients.
+        g_emb, g_proj = prototype_logits_backward(state.head, cache_g0.embeddings, grad_logits_g0)
+        if grad_emb_g0 is not None:
+            g_emb = g_emb + grad_emb_g0
+        grads.head += scale * g_proj
+        grads.add_encoder(encode_backward(state.params, cache_g0, g_emb), scale)
+
+        if grad_emb_g1 is not None:
+            grads.add_encoder(encode_backward(state.params, cache_g1, grad_emb_g1), scale)
+
+    for key in terms:
+        terms[key] *= scale
+    total = (
+        config.unmask_weight * terms["unmask"]
+        + config.mask_weight * terms["mask"]
+        + config.roll_weight * terms["roll"]
+        + lam * terms["laplacian"]
+        + mu * terms["consistency"]
+    )
+    return terms, total, grads, q_all
+
+
+def apply_update(state: TrainState, grads: _GradAccumulator) -> None:
+    """AdamW on the student, EMA of the student into the teacher, then step += 1."""
     config = state.config
     lr = config.lr_at(state.step)
     wd = config.weight_decay.value_at(state.step)
@@ -298,185 +439,41 @@ def _adamw_step(state: TrainState, grads: _GradAccumulator) -> None:
         param -= lr * update
     state.head.normalize_columns()
 
+    momentum = config.ema_momentum.value_at(state.step)
+    state.teacher = ema_update(state.teacher, state.params, state.head, momentum)
+    state.step += 1
+
 
 def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState, MetricsRecord]:
-    """One optimization step over a batch of scenes.
+    """One optimization step over a batch of scenes: views, step_objective, apply_update.
 
     Aborts with a diagnostic on a non-finite loss rather than skipping the
     batch, so numeric bugs surface immediately.
     """
     t_start = time.perf_counter()
     config = state.config
-    loss_cfg = config.loss_config()
     step = state.step
-    tau_s = config.student_temperature
-    tau_t = config.teacher_temperature.value_at(step)
-    lam = config.laplacian_schedule.value_at(step)
-    mu = config.consistency_weight
-
-    # Phase A: views and teacher passes on the full global views.
-    scene_views = []
-    teacher_logits = []
-    for i, scene in enumerate(scenes):
-        views = make_views(scene, _derive_seed(config, step, i, 0), config.views)
-        scene_views.append(views)
-        for view in views.global_views:
-            emb = encode_features(state.teacher.params, point_features(view.cloud))
-            teacher_logits.append(emb.embeddings @ state.teacher.head.projection)
-
-    # Phase B: one Sinkhorn over every point of both global views of the batch.
-    pooled = np.concatenate(teacher_logits, axis=0)
-    q_all = sinkhorn_normalize(
-        LogitsBatch(pooled, tau_t), iterations=config.sinkhorn_iterations
-    ).values
-    q_split = np.split(q_all, np.cumsum([len(t) for t in teacher_logits])[:-1])
-
-    grads = _GradAccumulator(state.params, state.head)
-    sums = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
-    scale = 1.0 / len(scenes)
-
-    for i, views in enumerate(scene_views):
-        g0, g1 = views.global_views
-        mask = views.mask
-        q0, q1 = q_split[2 * i], q_split[2 * i + 1]
-
-        cache_g0 = encode_features(state.params, point_features(g0.cloud), mask)
-        logits_g0 = cache_g0.embeddings @ state.head.projection
-        grad_logits_g0 = np.zeros_like(logits_g0)
-
-        # Mask loss: distill the teacher's assignments on the masked points.
-        if mask.any():
-            rows = np.flatnonzero(mask)
-            value, grad = clustering_ce(
-                AssignmentMatrix(q0[rows]), LogitsBatch(logits_g0[rows], tau_s)
-            )
-            sums["mask"] += value
-            grad_logits_g0[rows] += config.mask_weight * grad
-
-        # Roll loss: swapped global views as targets, matched by proximity.
-        pairs = match_correspondences(
-            g1.original_positions, g0.original_positions, config.correspondence_cutoff
-        )
-        if len(pairs):
-            value, grad = clustering_ce(
-                AssignmentMatrix(q1[pairs.teacher_indices]),
-                LogitsBatch(logits_g0[pairs.student_indices], tau_s),
-            )
-            sums["roll"] += value
-            grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
-
-        # Unmask loss: local views against the pooled teacher globals.
-        teacher_pos = np.concatenate([g0.original_positions, g1.original_positions])
-        q_teacher = np.concatenate([q0, q1])
-        teacher_tree = cKDTree(teacher_pos)
-        local_caches, local_rows, local_q = [], [], []
-        for local in views.local_views:
-            cache = encode_features(state.params, point_features(local.cloud))
-            lp = match_correspondences(
-                teacher_pos, local.original_positions,
-                config.correspondence_cutoff, teacher_tree=teacher_tree,
-            )
-            local_caches.append(cache)
-            local_rows.append(lp.student_indices)
-            local_q.append(q_teacher[lp.teacher_indices])
-        matched_counts = [len(r) for r in local_rows]
-        if sum(matched_counts) > 0:
-            logits_locals = [
-                c.embeddings[r] @ state.head.projection
-                for c, r in zip(local_caches, local_rows)
-            ]
-            value, grad = clustering_ce(
-                AssignmentMatrix(np.concatenate(local_q)),
-                LogitsBatch(np.concatenate(logits_locals), tau_s),
-            )
-            sums["unmask"] += value
-            offsets = np.cumsum([0] + matched_counts)
-            for j, (cache, rows) in enumerate(zip(local_caches, local_rows)):
-                if len(rows) == 0:
-                    continue
-                grad_view = np.zeros((len(cache.embeddings), q_all.shape[1]))
-                grad_view[rows] = config.unmask_weight * grad[offsets[j]:offsets[j + 1]]
-                g_emb, g_proj = _student_logit_grads(state.head, cache, grad_view)
-                grads.head += scale * g_proj
-                grads.add_encoder(encode_backward(state.params, cache, g_emb), scale)
-
-        # Laplacian smoothing on the student's unmasked global view.
-        grad_emb_g1 = None
-        cache_g1 = None
-        if lam > 0.0:
-            cache_g1 = encode_features(state.params, point_features(g1.cloud))
-            graph = build_knn_graph(
-                g1.cloud, config.laplacian_knn, config.laplacian_max_radius
-            )
-            if graph.num_edges:
-                value, grad = laplacian_loss(
-                    EmbeddingBatch(cache_g1.embeddings, g1.cloud.positions), graph, loss_cfg
-                )
-                sums["laplacian"] += value
-                grad_emb_g1 = lam * grad
-
-        # Noise consistency between the noisy teacher view and the masked student view.
-        grad_emb_g0 = None
-        if mu > 0.0:
-            xa = noise_view(
-                g1, config.views.noise_sigma, config.views.noise_dropout,
-                _derive_seed(config, step, i, 1),
-            )
-            teacher_emb = encode_features(state.teacher.params, point_features(xa.cloud))
-            pairs_cons = match_correspondences(
-                xa.original_positions, g0.original_positions, config.correspondence_cutoff
-            )
-            if len(pairs_cons):
-                value, grad = consistency_loss(
-                    EmbeddingBatch(teacher_emb.embeddings, xa.cloud.positions),
-                    EmbeddingBatch(cache_g0.embeddings, g0.cloud.positions),
-                    pairs_cons,
-                )
-                sums["consistency"] += value
-                grad_emb_g0 = mu * grad
-
-        # Backpropagate the masked-global-view gradients.
-        g_emb, g_proj = _student_logit_grads(state.head, cache_g0, grad_logits_g0)
-        if grad_emb_g0 is not None:
-            g_emb = g_emb + grad_emb_g0
-        grads.head += scale * g_proj
-        grads.add_encoder(encode_backward(state.params, cache_g0, g_emb), scale)
-
-        if grad_emb_g1 is not None:
-            grads.add_encoder(encode_backward(state.params, cache_g1, grad_emb_g1), scale)
-
-    for key in sums:
-        sums[key] *= scale
-    total = (
-        config.unmask_weight * sums["unmask"]
-        + config.mask_weight * sums["mask"]
-        + config.roll_weight * sums["roll"]
-        + lam * sums["laplacian"]
-        + mu * sums["consistency"]
-    )
+    state.params.check_finite()
+    state.teacher.params.check_finite()
+    scene_views = [
+        make_views(scene, _derive_seed(config, step, i, 0), config.views)
+        for i, scene in enumerate(scenes)
+    ]
+    terms, total, grads, q_all = step_objective(state, scene_views, step)
     if not np.isfinite(total):
         raise FloatingPointError(
-            f"non-finite loss at step {step}: {sums}; aborting (batch of {len(scenes)} scenes)"
+            f"non-finite loss at step {step}: {terms}; aborting (batch of {len(scenes)} scenes)"
         )
+    apply_update(state, grads)
 
-    _adamw_step(state, grads)
-    momentum = config.ema_momentum.value_at(step)
-    state.teacher = ema_update(state.teacher, state.params, state.head, momentum)
-    state.step += 1
-
-    record = MetricsRecord(
+    return state, MetricsRecord(
         step=step,
-        unmask=sums["unmask"],
-        mask=sums["mask"],
-        roll=sums["roll"],
-        laplacian=sums["laplacian"],
-        consistency=sums["consistency"],
+        **terms,
         total=float(total),
         prototype_entropy=prototype_usage_entropy(q_all),
         grad_norm=grads.norm(),
         wall_time=time.perf_counter() - t_start,
     )
-    return state, record
 
 
 def _batch_for_step(scenes: list[PointCloud], config: TrainConfig, step: int) -> list[PointCloud]:
@@ -492,11 +489,18 @@ def run_training(
 ) -> tuple[TrainState, list[MetricsRecord]]:
     """Run the full schedule over a scene corpus.
 
-    When out_dir is given, writes metrics.jsonl (one record per step), the
-    resolved config, and the final model checkpoint there.
+    Scenes over config.max_scene_points are first cut to a seeded, sorted
+    random subset.  When out_dir is given, writes metrics.jsonl (one record
+    per step), the resolved config, and the final model checkpoint there.
     """
     if not scenes:
         raise ValueError("no training scenes")
+    cap = config.max_scene_points
+    scenes = [
+        scene.select(np.sort(make_rng(config.seed, 40, i).choice(len(scene), cap, replace=False)))
+        if cap and len(scene) > cap else scene
+        for i, scene in enumerate(scenes)
+    ]
     state = init_train_state(config)
     records: list[MetricsRecord] = []
     metrics_stream = None

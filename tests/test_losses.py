@@ -7,14 +7,12 @@ from pointssl import (
     KnnGraph,
     LogitsBatch,
     LossConfig,
-    adaptive_sigma,
     build_knn_graph,
     clustering_ce,
     consistency_loss,
     laplacian_loss,
     match_correspondences,
     softmax_rows,
-    total_loss,
 )
 from pointssl.gradcheck import finite_difference, relative_error
 
@@ -164,24 +162,13 @@ class TestLaplacian:
 
 
 class TestAdaptiveSigma:
-    def test_odd_median(self):
-        assert adaptive_sigma([1.0, 2.0, 3.0]) == 2.0
-
-    def test_even_average(self):
-        assert adaptive_sigma([1.0, 3.0]) == 2.0
-
     def test_uniform_grid(self):
         # chain with spacing h and k=1: every kNN distance is h
         h = 0.07
         points = np.zeros((40, 3))
         points[:, 0] = np.arange(40) * h
         graph = build_knn_graph(make_cloud(points), k=1, max_radius=1.0)
-        assert adaptive_sigma(graph.distance) == pytest.approx(h)
         assert graph.sigma == pytest.approx(h)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            adaptive_sigma([])
 
 
 class TestConsistency:
@@ -336,42 +323,3 @@ class TestMatchCorrespondences:
     def test_unsorted_unique_student_indices_accepted(self):
         pairs = CorrespondenceSet([3, 0, 2, 1], [0, 1, 2, 3])
         np.testing.assert_array_equal(pairs.student_indices, [3, 0, 2, 1])
-
-
-class TestTotalLoss:
-    @staticmethod
-    def _parts(rng):
-        return {
-            name: (float(rng.uniform(0.1, 2.0)), rng.normal(0, 1, (4, 3)))
-            for name in ("unmask", "mask", "roll", "laplacian", "consistency")
-        }
-
-    def test_reduces_to_clustering_when_disabled(self):
-        rng = np.random.default_rng(0)
-        parts = self._parts(rng)
-        config = LossConfig(consistency_weight=0.0)
-        out = total_loss(**parts, config=config, laplacian_coefficient=0.0)
-        clustering = 4.0 * parts["unmask"][0] + 2.0 * parts["mask"][0] + 2.0 * parts["roll"][0]
-        assert out.total == pytest.approx(clustering, abs=1e-12)
-
-    def test_stated_weights_arithmetic(self):
-        ones = (1.0, np.zeros((1, 1)))
-        config = LossConfig(consistency_weight=0.05)
-        out = total_loss(ones, ones, ones, ones, ones, config=config,
-                         laplacian_coefficient=3e-3)
-        assert out.total == pytest.approx(8.053, abs=1e-12)
-
-    def test_gradient_linearity(self):
-        rng = np.random.default_rng(1)
-        parts = self._parts(rng)
-        config = LossConfig()
-        lam = 1.7e-3
-        out = total_loss(**parts, config=config, laplacian_coefficient=lam)
-        weights = {"unmask": 4.0, "mask": 2.0, "roll": 2.0, "laplacian": lam,
-                   "consistency": 0.05}
-        expected_total = sum(weights[n] * parts[n][0] for n in weights)
-        assert abs(out.total - expected_total) < 1e-10
-        for name in weights:
-            np.testing.assert_allclose(
-                out.gradients[name], weights[name] * parts[name][1], atol=1e-12
-            )

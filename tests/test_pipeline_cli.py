@@ -216,3 +216,26 @@ class TestCliCommands:
         ]) == 0
         colored, _ = read_ply(out_ply)
         assert colored.colors is not None
+
+    @pytest.mark.parametrize("name, value", [
+        ("laplacian_form", "foo"),
+        ("huber_delta", 0),
+        ("batch_size", 0),
+        ("num_prototypes", 1),
+        ("hidden", [8, 0]),
+        ("sinkhorn_iterations", 0),
+        ("mask_weight", -1.0),
+    ])
+    def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_ply(scenes / "r0.ply", toy_room(seed=40))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"total_steps": 2, "hidden": [8], name: value}))
+        run_dir = tmp_path / "run"
+        assert main([
+            "train-toy", "--config", str(config), "--scenes", str(scenes),
+            "--out", str(run_dir),
+        ]) == 1
+        assert "bad train config" in caplog.text
+        assert not run_dir.exists()

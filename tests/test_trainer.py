@@ -7,12 +7,13 @@ from pointssl import (
     Schedule,
     TrainConfig,
     init_train_state,
+    make_views,
     prototype_usage_entropy,
     run_training,
-    schedule_value,
     train_step,
 )
-
+from pointssl.rng import make_rng
+from pointssl.trainer import _derive_seed, apply_update, step_objective
 
 
 def _toy_config(**overrides):
@@ -43,7 +44,7 @@ class TestSchedule:
 
     def test_constant(self):
         sched = Schedule("constant", 0.05, 0.05, total_steps=10)
-        assert schedule_value(sched, 7) == 0.05
+        assert sched.value_at(7) == 0.05
 
     def test_out_of_range_clamps_with_warning(self):
         sched = Schedule("linear", 0.0, 1.0, total_steps=10)
@@ -175,14 +176,15 @@ class TestTrainStep:
             consistency_weight=0.0,
             teacher_temperature={"kind": "constant", "start": 0.05, "end": 0.05},
             ema_momentum={"kind": "constant", "start": 1.0, "end": 1.0},
-            fixed_views=True,
             warmup_fraction=0.0,
         )
         state = init_train_state(config)
+        views = [make_views(toy_scenes[0], _derive_seed(config, 0, 0, 0), config.views)]
         totals = []
         for _ in range(50):
-            state, record = train_step(state, [toy_scenes[0]])
-            totals.append(record.total)
+            _, total, grads, _ = step_objective(state, views, state.step)
+            apply_update(state, grads)
+            totals.append(total)
         assert totals[-1] < totals[0]
         # decreasing trend over windows, not just endpoints
         thirds = [np.mean(totals[:17]), np.mean(totals[17:34]), np.mean(totals[34:])]
@@ -200,6 +202,25 @@ class TestTrainStep:
                 train_step(state, toy_scenes[:1])
 
 
+    def test_train_step_is_objective_then_update(self, toy_scenes):
+        config = _toy_config(total_steps=3)
+        stepped, split = init_train_state(config), init_train_state(config)
+        for step in range(2):
+            stepped, record = train_step(stepped, toy_scenes[:2])
+            views = [
+                make_views(scene, _derive_seed(config, step, i, 0), config.views)
+                for i, scene in enumerate(toy_scenes[:2])
+            ]
+            terms, total, grads, _ = step_objective(split, views, step)
+            apply_update(split, grads)
+            assert (record.total, record.grad_norm) == (total, grads.norm())
+            assert {name: getattr(record, name) for name in terms} == terms
+        assert split.step == stepped.step == 2
+        for a, b in zip(split.params.tensors().values(), stepped.params.tensors().values()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(split.teacher.head.projection, stepped.teacher.head.projection)
+
+
 class TestRunTraining:
     def test_writes_metrics_and_checkpoint(self, toy_scenes, tmp_path):
         config = _toy_config(total_steps=3)
@@ -213,6 +234,22 @@ class TestRunTraining:
         assert [p["step"] for p in parsed] == [0, 1, 2]
         for record, line in zip(records, parsed):
             assert record.total == line["total"]
+
+    def test_max_scene_points_subsamples_each_scene(self, toy_scenes):
+        cap = 500
+        config = _toy_config(total_steps=3, max_scene_points=cap)
+        _, capped = run_training(config, toy_scenes[:3])
+        subsampled = [
+            scene.select(np.sort(make_rng(config.seed, 40, i).choice(len(scene), cap, replace=False)))
+            for i, scene in enumerate(toy_scenes[:3])
+        ]
+        assert all(len(scene) > cap for scene in toy_scenes[:3])
+        _, expected = run_training(_toy_config(total_steps=3), subsampled)
+
+        def stream(records):
+            return [{**r.to_dict(), "wall_time": 0.0} for r in records]
+
+        assert stream(capped) == stream(expected)
 
     def test_jsonl_deterministic_modulo_wall_time(self, toy_scenes, tmp_path):
         streams = []
