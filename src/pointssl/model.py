@@ -229,6 +229,8 @@ def encode_backward(
     grads = params.zeros_like()
     upstream = g_raw
     last = len(params.weights) - 1
+    # The gradient of the layer-0 input is needed only for the mask token.
+    masked = cache.mask is not None and cache.mask.any()
     for i in range(last, -1, -1):
         if i < last:
             a, sig = cache.preactivations[i], cache.sigmoids[i]
@@ -237,9 +239,10 @@ def encode_backward(
         h_prev = cache.preactivations[i - 1] * cache.sigmoids[i - 1] if i > 0 else cache.features
         grads.weights[i] = h_prev.T @ upstream
         grads.biases[i] = upstream.sum(axis=0)
-        upstream = upstream @ params.weights[i].T
+        if i > 0 or masked:
+            upstream = upstream @ params.weights[i].T
 
-    if cache.mask is not None and cache.mask.any():
+    if masked:
         grads.mask_token = upstream[cache.mask].sum(axis=0)
     return grads
 

@@ -68,8 +68,11 @@ class AssignmentMatrix:
 
 
 def _stabilized_exp(logits: LogitsBatch) -> np.ndarray:
-    scaled = logits.values / logits.temperature
-    return np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    # exp(values / T - row max), built in one new array: a batch's pooled
+    # teacher logits take about 11 MB for four 4,000-point rooms.
+    m = np.divide(logits.values, logits.temperature)
+    m -= m.max(axis=1, keepdims=True)
+    return np.exp(m, out=m)
 
 
 def softmax_rows(logits: LogitsBatch) -> AssignmentMatrix:

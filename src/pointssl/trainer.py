@@ -6,7 +6,7 @@ single Sinkhorn assignment, and trains the student on the masked global and
 local views with the three clustering terms plus the Laplacian and
 consistency regularizers.  Only the student receives gradients; the teacher
 moves through the EMA alone.  A fixed seed reproduces the metrics stream
-bit-for-bit (wall time aside).
+bit-for-bit (wall time aside), whether or not the scenes run on threads.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, build_knn_graph
+from .geometry import PointCloud, _usable_cpus, build_knn_graph
 from .losses import (
     EmbeddingBatch,
     LossConfig,
@@ -44,7 +47,7 @@ from .model import (
 )
 from .rng import make_rng
 from .sinkhorn import AssignmentMatrix, LogitsBatch, sinkhorn_normalize
-from .views import ViewConfig, ViewSet, make_views, noise_view
+from .views import View, ViewConfig, ViewSet, make_views, noise_view
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,16 @@ class TrainConfig:
                    self.laplacian_schedule.end, self.consistency_weight)
         for name, value, least in (("batch_size", self.batch_size, 1),
                                    ("num_prototypes", self.num_prototypes, 2),
+                                   ("embed_dim", self.embed_dim, 1),
                                    ("every hidden width", min(self.hidden, default=1), 1),
+                                   ("laplacian_knn", self.laplacian_knn, 1),
                                    ("sinkhorn_iterations", self.sinkhorn_iterations, 1),
+                                   ("max_scene_points", self.max_scene_points or 0, 0),
                                    ("every loss weight", min(weights), 0.0)):
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not self.student_temperature > 0.0:
+            raise ValueError(f"student_temperature must be positive, got {self.student_temperature}")
 
     def lr_at(self, step: int) -> float:
         warmup = max(1, int(round(self.warmup_fraction * self.total_steps)))
@@ -240,6 +248,27 @@ def _derive_seed(config: TrainConfig, step: int, scene_index: int, purpose: int)
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+# A batch's scenes run on threads only when they average at least this many
+# points; on smaller scenes the hand-offs cost about what the threads
+# overlap.  Two threads on 2 CPUs took 1.04x the inline step time at 800
+# points a scene, 0.94-0.99x at 1,600 and 0.77-0.89x at 2,400 (acceptance
+# and default configs).
+PARALLEL_MIN_SCENE_POINTS = 2000
+
+
+@contextmanager
+def _scene_map(scene_sizes: list[int]):
+    """Yield map, or the map of a thread pool with one worker per usable CPU
+    (at most one per scene) when there are two or more and the scenes average
+    PARALLEL_MIN_SCENE_POINTS points.  Either returns results in input order."""
+    workers = min(_usable_cpus(), len(scene_sizes))
+    if workers < 2 or np.mean(scene_sizes) < PARALLEL_MIN_SCENE_POINTS:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 class _GradAccumulator:
     def __init__(self, params: EncoderParams, head: PrototypeHead):
         self.params = params.zeros_like()
@@ -266,137 +295,51 @@ def step_objective(
     Returns (terms, total, grads, q_all): grads holds d total / d(student
     encoder, head projection), q_all the pooled Sinkhorn teacher assignments.
     """
+    return _objective(state, scene_views, step, map)
+
+
+def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_map):
+    """step_objective with the per-scene work run through scene_map.
+
+    Only the pooled Sinkhorn spans scenes.  The teacher passes and each
+    scene's terms and gradients come back from scene_map in scene order and
+    are summed here in that order, so the result does not depend on whether
+    scene_map runs them on threads.
+    """
     config = state.config
-    loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)
-    tau_s = config.student_temperature
     tau_t = config.teacher_temperature.value_at(step)
     lam = config.laplacian_schedule.value_at(step)
     mu = config.consistency_weight
 
-    teacher_logits = []
-    for views in scene_views:
-        for view in views.global_views:
-            emb = encode_features(state.teacher.params, point_features(view.cloud))
-            teacher_logits.append(emb.embeddings @ state.teacher.head.projection)
-
-    pooled = np.concatenate(teacher_logits, axis=0)
-    q_all = sinkhorn_normalize(
-        LogitsBatch(pooled, tau_t), iterations=config.sinkhorn_iterations
-    ).values
-    q_split = np.split(q_all, np.cumsum([len(t) for t in teacher_logits])[:-1])
+    teacher_logits = [
+        logits
+        for pair in scene_map(partial(_teacher_logits, state.teacher), scene_views)
+        for logits in pair
+    ]
+    splits = np.cumsum([len(t) for t in teacher_logits])[:-1]
+    # The logits and their pooled copy (points x K, each about 11 MB for four
+    # 4,000-point rooms) are dropped before the per-scene work, which may run
+    # several scenes at once.
+    pooled = LogitsBatch(np.concatenate(teacher_logits, axis=0), tau_t)
+    del teacher_logits
+    q_all = sinkhorn_normalize(pooled, iterations=config.sinkhorn_iterations).values
+    del pooled
+    q_split = np.split(q_all, splits)
 
     grads = _GradAccumulator(state.params, state.head)
     terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
     scale = 1.0 / len(scene_views)
-
-    for i, views in enumerate(scene_views):
-        g0, g1 = views.global_views
-        mask = views.mask
-        q0, q1 = q_split[2 * i], q_split[2 * i + 1]
-
-        cache_g0 = encode_features(state.params, point_features(g0.cloud), mask)
-        logits_g0 = cache_g0.embeddings @ state.head.projection
-        grad_logits_g0 = np.zeros_like(logits_g0)
-
-        # Mask loss: distill the teacher's assignments on the masked points.
-        if mask.any():
-            rows = np.flatnonzero(mask)
-            value, grad = clustering_ce(
-                AssignmentMatrix(q0[rows]), LogitsBatch(logits_g0[rows], tau_s)
-            )
-            terms["mask"] += value
-            grad_logits_g0[rows] += config.mask_weight * grad
-
-        # Roll loss: swapped global views as targets, matched by proximity.
-        pairs = match_correspondences(
-            g1.original_positions, g0.original_positions, config.correspondence_cutoff
-        )
-        if len(pairs):
-            value, grad = clustering_ce(
-                AssignmentMatrix(q1[pairs.teacher_indices]),
-                LogitsBatch(logits_g0[pairs.student_indices], tau_s),
-            )
-            terms["roll"] += value
-            grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
-
-        # Unmask loss: local views against the pooled teacher globals.
-        teacher_pos = np.concatenate([g0.original_positions, g1.original_positions])
-        q_teacher = np.concatenate([q0, q1])
-        teacher_tree = cKDTree(teacher_pos)
-        local_caches, local_rows, local_q = [], [], []
-        for local in views.local_views:
-            cache = encode_features(state.params, point_features(local.cloud))
-            lp = match_correspondences(
-                teacher_pos, local.original_positions,
-                config.correspondence_cutoff, teacher_tree=teacher_tree,
-            )
-            local_caches.append(cache)
-            local_rows.append(lp.student_indices)
-            local_q.append(q_teacher[lp.teacher_indices])
-        matched_counts = [len(r) for r in local_rows]
-        if sum(matched_counts) > 0:
-            logits_locals = [
-                c.embeddings[r] @ state.head.projection
-                for c, r in zip(local_caches, local_rows)
-            ]
-            value, grad = clustering_ce(
-                AssignmentMatrix(np.concatenate(local_q)),
-                LogitsBatch(np.concatenate(logits_locals), tau_s),
-            )
-            terms["unmask"] += value
-            offsets = np.cumsum([0] + matched_counts)
-            for j, (cache, rows) in enumerate(zip(local_caches, local_rows)):
-                if len(rows) == 0:
-                    continue
-                grad_view = np.zeros((len(cache.embeddings), q_all.shape[1]))
-                grad_view[rows] = config.unmask_weight * grad[offsets[j]:offsets[j + 1]]
-                g_emb, g_proj = prototype_logits_backward(state.head, cache.embeddings, grad_view)
-                grads.head += scale * g_proj
-                grads.add_encoder(encode_backward(state.params, cache, g_emb), scale)
-
-        # Laplacian smoothing on the student's unmasked global view.
-        grad_emb_g1 = None
-        if lam > 0.0:
-            cache_g1 = encode_features(state.params, point_features(g1.cloud))
-            graph = build_knn_graph(
-                g1.cloud, config.laplacian_knn, config.laplacian_max_radius
-            )
-            if graph.num_edges:
-                value, grad = laplacian_loss(
-                    EmbeddingBatch(cache_g1.embeddings, g1.cloud.positions), graph, loss_cfg
-                )
-                terms["laplacian"] += value
-                grad_emb_g1 = lam * grad
-
-        # Noise consistency between the noisy teacher view and the masked student view.
-        grad_emb_g0 = None
-        if mu > 0.0:
-            xa = noise_view(
-                g1, config.views.noise_sigma, config.views.noise_dropout,
-                _derive_seed(config, step, i, 1),
-            )
-            teacher_emb = encode_features(state.teacher.params, point_features(xa.cloud))
-            pairs_cons = match_correspondences(
-                xa.original_positions, g0.original_positions, config.correspondence_cutoff
-            )
-            if len(pairs_cons):
-                value, grad = consistency_loss(
-                    EmbeddingBatch(teacher_emb.embeddings, xa.cloud.positions),
-                    EmbeddingBatch(cache_g0.embeddings, g0.cloud.positions),
-                    pairs_cons,
-                )
-                terms["consistency"] += value
-                grad_emb_g0 = mu * grad
-
-        # Backpropagate the masked-global-view gradients.
-        g_emb, g_proj = prototype_logits_backward(state.head, cache_g0.embeddings, grad_logits_g0)
-        if grad_emb_g0 is not None:
-            g_emb = g_emb + grad_emb_g0
-        grads.head += scale * g_proj
-        grads.add_encoder(encode_backward(state.params, cache_g0, g_emb), scale)
-
-        if grad_emb_g1 is not None:
-            grads.add_encoder(encode_backward(state.params, cache_g1, grad_emb_g1), scale)
+    per_scene = scene_map(
+        partial(_scene_objective, state, step, lam),
+        range(len(scene_views)), scene_views, q_split[0::2], q_split[1::2],
+    )
+    for scene_terms, contributions in per_scene:
+        for key, value in scene_terms.items():
+            terms[key] += value
+        for head_grad, encoder_grads in contributions:
+            if head_grad is not None:
+                grads.head += scale * head_grad
+            grads.add_encoder(encoder_grads, scale)
 
     for key in terms:
         terms[key] *= scale
@@ -408,6 +351,164 @@ def step_objective(
         + mu * terms["consistency"]
     )
     return terms, total, grads, q_all
+
+
+def _teacher_logits(teacher: TeacherState, views: ViewSet) -> list[np.ndarray]:
+    return [
+        encode_features(teacher.params, point_features(view.cloud)).embeddings
+        @ teacher.head.projection
+        for view in views.global_views
+    ]
+
+
+def _scene_objective(
+    state: TrainState, step: int, lam: float, i: int, views: ViewSet,
+    q0: np.ndarray, q1: np.ndarray,
+) -> tuple[dict[str, float], list[tuple[np.ndarray | None, EncoderParams]]]:
+    """Scene i's share of the objective, unscaled.
+
+    Returns the terms it contributes and its (head, encoder) gradients in the
+    order they are accumulated; the head entry is None where only the encoder
+    receives a gradient.  The local views and the Laplacian run in helpers so
+    their encoder caches are freed before the next pass: a pool runs several
+    scenes at once.
+    """
+    config = state.config
+    tau_s = config.student_temperature
+    mu = config.consistency_weight
+    terms: dict[str, float] = {}
+
+    g0, g1 = views.global_views
+    mask = views.mask
+
+    cache_g0 = encode_features(state.params, point_features(g0.cloud), mask)
+    logits_g0 = cache_g0.embeddings @ state.head.projection
+    grad_logits_g0 = np.zeros_like(logits_g0)
+
+    # Mask loss: distill the teacher's assignments on the masked points.
+    if mask.any():
+        rows = np.flatnonzero(mask)
+        value, grad = clustering_ce(
+            AssignmentMatrix(q0[rows]), LogitsBatch(logits_g0[rows], tau_s)
+        )
+        terms["mask"] = value
+        grad_logits_g0[rows] += config.mask_weight * grad
+
+    # Roll loss: swapped global views as targets, matched by proximity.
+    pairs = match_correspondences(
+        g1.original_positions, g0.original_positions, config.correspondence_cutoff
+    )
+    if len(pairs):
+        value, grad = clustering_ce(
+            AssignmentMatrix(q1[pairs.teacher_indices]),
+            LogitsBatch(logits_g0[pairs.student_indices], tau_s),
+        )
+        terms["roll"] = value
+        grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
+
+    value, contributions = _unmask_objective(state, views, q0, q1)
+    if value is not None:
+        terms["unmask"] = value
+    value, laplacian_grads = _laplacian_objective(state, g1, lam)
+    if value is not None:
+        terms["laplacian"] = value
+
+    # Noise consistency between the noisy teacher view and the masked student view.
+    grad_emb_g0 = None
+    if mu > 0.0:
+        xa = noise_view(
+            g1, config.views.noise_sigma, config.views.noise_dropout,
+            _derive_seed(config, step, i, 1),
+        )
+        teacher_emb = encode_features(state.teacher.params, point_features(xa.cloud)).embeddings
+        pairs_cons = match_correspondences(
+            xa.original_positions, g0.original_positions, config.correspondence_cutoff
+        )
+        if len(pairs_cons):
+            value, grad = consistency_loss(
+                EmbeddingBatch(teacher_emb, xa.cloud.positions),
+                EmbeddingBatch(cache_g0.embeddings, g0.cloud.positions),
+                pairs_cons,
+            )
+            terms["consistency"] = value
+            grad_emb_g0 = mu * grad
+
+    # Backpropagate the masked-global-view gradients.
+    g_emb, g_proj = prototype_logits_backward(state.head, cache_g0.embeddings, grad_logits_g0)
+    if grad_emb_g0 is not None:
+        g_emb = g_emb + grad_emb_g0
+    contributions.append((g_proj, encode_backward(state.params, cache_g0, g_emb)))
+
+    if laplacian_grads is not None:
+        contributions.append((None, laplacian_grads))
+    return terms, contributions
+
+
+def _unmask_objective(
+    state: TrainState, views: ViewSet, q0: np.ndarray, q1: np.ndarray
+) -> tuple[float | None, list[tuple[np.ndarray, EncoderParams]]]:
+    """Unmask loss: local views against the pooled teacher globals.
+
+    Returns the unweighted term (None when no local point matched) and the
+    (head, encoder) gradients of the weighted term, one pair per matched view.
+    """
+    config = state.config
+    g0, g1 = views.global_views
+    teacher_pos = np.concatenate([g0.original_positions, g1.original_positions])
+    q_teacher = np.concatenate([q0, q1])
+    teacher_tree = cKDTree(teacher_pos)
+    local_caches, local_rows, local_q = [], [], []
+    for local in views.local_views:
+        cache = encode_features(state.params, point_features(local.cloud))
+        lp = match_correspondences(
+            teacher_pos, local.original_positions,
+            config.correspondence_cutoff, teacher_tree=teacher_tree,
+        )
+        local_caches.append(cache)
+        local_rows.append(lp.student_indices)
+        local_q.append(q_teacher[lp.teacher_indices])
+    matched_counts = [len(r) for r in local_rows]
+    if sum(matched_counts) == 0:
+        return None, []
+    logits_locals = [
+        c.embeddings[r] @ state.head.projection for c, r in zip(local_caches, local_rows)
+    ]
+    value, grad = clustering_ce(
+        AssignmentMatrix(np.concatenate(local_q)),
+        LogitsBatch(np.concatenate(logits_locals), config.student_temperature),
+    )
+    contributions = []
+    offsets = np.cumsum([0] + matched_counts)
+    for j, (cache, rows) in enumerate(zip(local_caches, local_rows)):
+        if len(rows) == 0:
+            continue
+        grad_view = np.zeros((len(cache.embeddings), state.head.num_prototypes))
+        grad_view[rows] = config.unmask_weight * grad[offsets[j]:offsets[j + 1]]
+        g_emb, g_proj = prototype_logits_backward(state.head, cache.embeddings, grad_view)
+        contributions.append((g_proj, encode_backward(state.params, cache, g_emb)))
+    return value, contributions
+
+
+def _laplacian_objective(
+    state: TrainState, g1: View, lam: float
+) -> tuple[float | None, EncoderParams | None]:
+    """Laplacian smoothing on the student's unmasked global view.
+
+    Returns the unweighted term and the encoder gradient of lam times it,
+    or (None, None) when lam is 0 or the graph has no edges.
+    """
+    if lam <= 0.0:
+        return None, None
+    config = state.config
+    cache_g1 = encode_features(state.params, point_features(g1.cloud))
+    graph = build_knn_graph(g1.cloud, config.laplacian_knn, config.laplacian_max_radius)
+    if not graph.num_edges:
+        return None, None
+    loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)
+    value, grad = laplacian_loss(
+        EmbeddingBatch(cache_g1.embeddings, g1.cloud.positions), graph, loss_cfg
+    )
+    return value, encode_backward(state.params, cache_g1, lam * grad)
 
 
 def apply_update(state: TrainState, grads: _GradAccumulator) -> None:
@@ -447,19 +548,23 @@ def apply_update(state: TrainState, grads: _GradAccumulator) -> None:
 def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState, MetricsRecord]:
     """One optimization step over a batch of scenes: views, step_objective, apply_update.
 
-    Aborts with a diagnostic on a non-finite loss rather than skipping the
-    batch, so numeric bugs surface immediately.
+    When the scenes are large enough (PARALLEL_MIN_SCENE_POINTS), each scene's
+    views, teacher passes, terms and gradients run on a thread pool; the
+    output is bit-identical to running them inline.  Aborts with a diagnostic
+    on a non-finite loss rather than skipping the batch, so numeric bugs
+    surface immediately.
     """
     t_start = time.perf_counter()
     config = state.config
     step = state.step
     state.params.check_finite()
     state.teacher.params.check_finite()
-    scene_views = [
-        make_views(scene, _derive_seed(config, step, i, 0), config.views)
-        for i, scene in enumerate(scenes)
-    ]
-    terms, total, grads, q_all = step_objective(state, scene_views, step)
+    with _scene_map([len(scene) for scene in scenes]) as scene_map:
+        scene_views = list(scene_map(
+            lambda i, scene: make_views(scene, _derive_seed(config, step, i, 0), config.views),
+            range(len(scenes)), scenes,
+        ))
+        terms, total, grads, q_all = _objective(state, scene_views, step, scene_map)
     if not np.isfinite(total):
         raise FloatingPointError(
             f"non-finite loss at step {step}: {terms}; aborting (batch of {len(scenes)} scenes)"

@@ -148,18 +148,20 @@ def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
     rng = np.random.default_rng(len(hidden) + 10 * masked)
     params = init_encoder(9, hidden, 8, seed=len(hidden))
     features = rng.normal(0, 2, (50, 9))
-    mask = rng.random(50) < 0.3 if masked else None
+    # Unmasked: no mask, and a mask without masked rows.
+    masks = [rng.random(50) < 0.3] if masked else [None, np.zeros(50, dtype=bool)]
     grad_embeddings = rng.normal(0, 1, (50, 8))
-    cache = encode_features(params, features, mask)
-    grads = encode_backward(params, cache, grad_embeddings)
-    z, weights, biases, token = _reference_backward(params, features, mask, grad_embeddings)
-    assert np.array_equal(cache.embeddings, z)
-    for got, want in zip(grads.weights + grads.biases, weights + biases):
-        assert np.array_equal(got, want)
-    if masked:
-        assert np.array_equal(grads.mask_token, token)
-    else:
-        assert not grads.mask_token.any()
+    for mask in masks:
+        cache = encode_features(params, features, mask)
+        grads = encode_backward(params, cache, grad_embeddings)
+        z, weights, biases, token = _reference_backward(params, features, mask, grad_embeddings)
+        assert np.array_equal(cache.embeddings, z)
+        for got, want in zip(grads.weights + grads.biases, weights + biases):
+            assert np.array_equal(got, want)
+        if masked:
+            assert np.array_equal(grads.mask_token, token)
+        else:
+            assert not grads.mask_token.any()
 
 
 class TestPrototypeHead:

@@ -225,6 +225,11 @@ class TestCliCommands:
         ("hidden", [8, 0]),
         ("sinkhorn_iterations", 0),
         ("mask_weight", -1.0),
+        ("embed_dim", 0),
+        ("laplacian_knn", 0),
+        ("student_temperature", 0.0),
+        ("student_temperature", -0.1),
+        ("max_scene_points", -5),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

@@ -154,3 +154,52 @@ class TestSinkhorn:
             AssignmentMatrix(np.array([[0.7, 0.7]]))
         with pytest.raises(ValueError):
             AssignmentMatrix(np.array([[-0.1, 1.1]]))
+
+
+def _out_of_place_exp(values, temperature):
+    """exp(values / T - row max) with a new array per step."""
+    scaled = values / temperature
+    return np.exp(scaled - scaled.max(axis=1, keepdims=True))
+
+
+def _out_of_place_sinkhorn(values, temperature, iterations):
+    m = _out_of_place_exp(values, temperature)
+    b, k = m.shape
+    for _ in range(iterations):
+        col_sums = m.sum(axis=0, keepdims=True)
+        m *= np.divide(b / k, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0.0)
+        m /= m.sum(axis=1, keepdims=True)
+    return m
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(6)
+    yield rng.normal(0, 1, (7, 5)), 0.5
+    yield rng.normal(0, 1, (1031, 64)), 0.04
+    partial = rng.normal(0, 3, (257, 16))
+    partial[rng.random(partial.shape) < 0.2] = -np.inf
+    partial[np.arange(257), rng.integers(0, 16, 257)] = 1.0
+    yield partial, 0.1
+    # Column 3 underflows to zero mass in every row.
+    underflow = rng.normal(0, 1, (120, 8))
+    underflow[:, 3] = -1e3
+    yield underflow, 0.04
+
+
+class TestInPlaceExp:
+    @pytest.mark.parametrize("case", range(4))
+    def test_bit_identical_to_out_of_place(self, case):
+        values, temperature = list(_bitwise_cases())[case]
+        logits = LogitsBatch(values, temperature)
+        m = _out_of_place_exp(values, temperature)
+        assert np.array_equal(softmax_rows(logits).values, m / m.sum(axis=1, keepdims=True))
+        for iterations in (1, 3):
+            assert np.array_equal(
+                sinkhorn_normalize(logits, iterations).values,
+                _out_of_place_sinkhorn(values, temperature, iterations),
+            )
+
+    def test_underflowed_column_stays_zero(self):
+        values, temperature = list(_bitwise_cases())[3]
+        out = sinkhorn_normalize(LogitsBatch(values, temperature), iterations=3).values
+        assert not out[:, 3].any()

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pointssl import (
     run_training,
     train_step,
 )
+from pointssl import trainer
 from pointssl.rng import make_rng
 from pointssl.trainer import _derive_seed, apply_update, step_objective
 
@@ -219,6 +221,62 @@ class TestTrainStep:
         for a, b in zip(split.params.tensors().values(), stepped.params.tensors().values()):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(split.teacher.head.projection, stepped.teacher.head.projection)
+
+
+class TestSceneThreads:
+    @staticmethod
+    def _force(monkeypatch, threaded):
+        """Run train_step's scenes on a 2-thread pool, or inline; return the
+        set of threads make_views ran on."""
+        threads = set()
+        make_views_inline = trainer.make_views
+
+        def recording_make_views(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return make_views_inline(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "make_views", recording_make_views)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(
+            trainer, "PARALLEL_MIN_SCENE_POINTS", 0 if threaded else float("inf")
+        )
+        return threads
+
+    def test_threads_match_inline_bitwise(self, toy_scenes, monkeypatch):
+        runs = []
+        for threaded in (True, False):
+            threads = self._force(monkeypatch, threaded)
+            state = init_train_state(_toy_config(total_steps=4, batch_size=3))
+            records = []
+            for step in range(3):
+                state, record = train_step(state, toy_scenes[step:step + 3])
+                records.append({**record.to_dict(), "wall_time": 0.0})
+            runs.append((records, state))
+            assert (threading.get_ident() not in threads) == threaded
+        (threaded_records, a), (inline_records, b) = runs
+        assert threaded_records == inline_records
+        tensors = [
+            (a.params.tensors(), b.params.tensors()),
+            (a.teacher.params.tensors(), b.teacher.params.tensors()),
+            ({"head": a.head.projection}, {"head": b.head.projection}),
+            ({"teacher.head": a.teacher.head.projection}, {"teacher.head": b.teacher.head.projection}),
+            (a.adam_m, b.adam_m),
+            (a.adam_v, b.adam_v),
+        ]
+        for got, want in tensors:
+            assert got.keys() == want.keys()
+            for name in got:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        assert a.adam_t == b.adam_t == 3 and a.step == b.step == 3
+
+    def test_scene_error_on_a_thread_reaches_the_caller(self, toy_scenes, monkeypatch):
+        threads = self._force(monkeypatch, threaded=True)
+        state = init_train_state(_toy_config(total_steps=4, batch_size=3))
+        tiny = toy_scenes[0].select(np.arange(100))
+        with pytest.raises(ValueError, match="need at least 256"):
+            train_step(state, [toy_scenes[1], tiny, toy_scenes[2]])
+        assert state.step == 0 and state.adam_t == 0
+        assert threading.get_ident() not in threads
 
 
 class TestRunTraining:
