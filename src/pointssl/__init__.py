@@ -6,8 +6,8 @@ Library surface:
 - geometry: PointCloud, KnnGraph, Plane, RigidSimilarity, and the alignment
   stages (SOR filter, RANSAC plane, Z-up, scale, PCA normals).
 - sinkhorn: teacher soft assignments and the student softmax.
-- losses: clustering cross-entropy, Laplacian smoothing (pairwise and
-  Huber-residual forms) and noise consistency, all with analytic gradients.
+- losses: clustering_ce, laplacian_loss (pairwise and Huber-residual forms)
+  and consistency_loss over plain arrays, all with analytic gradients.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
 - views: global/local crop generation, grid masking, noise augmentation.
 - trainer: schedules and the full training loop.
@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .losses import (
     CorrespondenceSet,
-    EmbeddingBatch,
     LossConfig,
     clustering_ce,
     consistency_loss,
@@ -41,6 +40,7 @@ from .losses import (
     match_correspondences,
 )
 from .model import (
+    EmbeddingBatch,
     EncoderParams,
     PrototypeHead,
     TeacherState,

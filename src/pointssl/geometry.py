@@ -35,9 +35,6 @@ class DegenerateGeometryError(GeometryError):
     """Geometry has collapsed: zero extent, coincident points, or similar."""
 
 
-_freeze = frozen_array
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable point set with optional colors, normals, and validity mask.
@@ -54,38 +51,35 @@ class PointCloud:
     valid: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = frozen_array(self.positions, np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {pos.shape}")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite (no NaN/Inf)")
-        object.__setattr__(self, "positions", _freeze(pos))
+        object.__setattr__(self, "positions", pos)
         n = len(pos)
 
         if self.colors is not None:
-            col = np.asarray(self.colors, dtype=np.float64)
+            col = frozen_array(self.colors, np.float64)
             if col.shape != (n, 3):
                 raise ValueError(f"colors must have shape ({n}, 3), got {col.shape}")
             if col.size and (col.min() < 0.0 or col.max() > 1.0):
                 raise ValueError("colors must be component-wise in [0, 1]")
-            object.__setattr__(self, "colors", _freeze(col))
+            object.__setattr__(self, "colors", col)
 
         if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=np.float64)
+            nrm = frozen_array(self.normals, np.float64)
             if nrm.shape != (n, 3):
                 raise ValueError(f"normals must have shape ({n}, 3), got {nrm.shape}")
             norms = np.linalg.norm(nrm, axis=1)
             if nrm.size and np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
                 raise ValueError("normals must have unit norm within 1e-6")
-            object.__setattr__(self, "normals", _freeze(nrm))
+            object.__setattr__(self, "normals", nrm)
 
-        if self.valid is None:
-            object.__setattr__(self, "valid", _freeze(np.ones(n, dtype=bool)))
-        else:
-            v = np.asarray(self.valid, dtype=bool)
-            if v.shape != (n,):
-                raise ValueError(f"valid mask must have shape ({n},), got {v.shape}")
-            object.__setattr__(self, "valid", _freeze(v))
+        v = frozen_array(np.ones(n, dtype=bool) if self.valid is None else self.valid, bool)
+        if v.shape != (n,):
+            raise ValueError(f"valid mask must have shape ({n},), got {v.shape}")
+        object.__setattr__(self, "valid", v)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -126,10 +120,9 @@ class KnnGraph:
     num_nodes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "source", _freeze(np.asarray(self.source, dtype=np.int64)))
-        object.__setattr__(self, "target", _freeze(np.asarray(self.target, dtype=np.int64)))
-        object.__setattr__(self, "distance", _freeze(np.asarray(self.distance, dtype=np.float64)))
-        object.__setattr__(self, "weight", _freeze(np.asarray(self.weight, dtype=np.float64)))
+        for name, dtype in (("source", np.int64), ("target", np.int64),
+                            ("distance", np.float64), ("weight", np.float64)):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype))
         if self.distance.size and self.distance.min() <= 0.0:
             raise ValueError("edge distances must be strictly positive")
         if np.any(self.source == self.target):
@@ -150,10 +143,10 @@ class Plane:
     inlier_ratio: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64)
+        n = frozen_array(self.normal, np.float64)
         if abs(np.linalg.norm(n) - 1.0) > ORTHONORMAL_TOL:
             raise ValueError("plane normal must be unit length within 1e-9")
-        object.__setattr__(self, "normal", _freeze(n))
+        object.__setattr__(self, "normal", n)
         if not 0.0 <= self.inlier_ratio <= 1.0:
             raise ValueError("inlier_ratio must be in [0, 1]")
 
@@ -167,8 +160,8 @@ class RigidSimilarity:
     scale: float = 1.0
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        r = frozen_array(self.rotation, np.float64)
+        t = frozen_array(self.translation, np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
         if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL:
@@ -177,8 +170,8 @@ class RigidSimilarity:
             raise ValueError("rotation must have determinant +1 within 1e-9")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
-        object.__setattr__(self, "rotation", _freeze(r))
-        object.__setattr__(self, "translation", _freeze(t))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation

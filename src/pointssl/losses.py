@@ -17,35 +17,12 @@ from scipy.spatial import cKDTree
 
 from ._arrays import frozen_array
 from .geometry import KnnGraph
-from .sinkhorn import AssignmentMatrix, LogitsBatch
+from .sinkhorn import AssignmentMatrix, LogitsBatch, _checked_assignments, _checked_logits
 
 PAIRWISE = "pairwise"
 HUBER_RESIDUAL = "huber_residual"
 
 DEFAULT_CORRESPONDENCE_CUTOFF = 0.05
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """Per-point embeddings alongside the coordinates they are attached to."""
-
-    values: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        p = np.asarray(self.positions, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"embeddings must be 2-D, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("embeddings must be finite")
-        if p.shape != (len(v), 3):
-            raise ValueError("positions must be (N, 3) matching the embedding count")
-        object.__setattr__(self, "values", frozen_array(v))
-        object.__setattr__(self, "positions", frozen_array(p))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -56,16 +33,16 @@ class CorrespondenceSet:
     teacher_indices: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.student_indices, dtype=np.int64)
-        t = np.asarray(self.teacher_indices, dtype=np.int64)
+        s = frozen_array(self.student_indices, np.int64)
+        t = frozen_array(self.teacher_indices, np.int64)
         if s.shape != t.shape or s.ndim != 1:
             raise ValueError("student and teacher index arrays must be 1-D and equal length")
         # Sorted input (match_correspondences' flatnonzero) is unique when it
         # strictly increases; only other input pays for np.unique.
         if not (s[1:] > s[:-1]).all() and len(np.unique(s)) != len(s):
             raise ValueError("student indices must be unique")
-        object.__setattr__(self, "student_indices", frozen_array(s))
-        object.__setattr__(self, "teacher_indices", frozen_array(t))
+        object.__setattr__(self, "student_indices", s)
+        object.__setattr__(self, "teacher_indices", t)
 
     def __len__(self) -> int:
         return len(self.student_indices)
@@ -85,32 +62,31 @@ class LossConfig:
             raise ValueError(f"unknown laplacian_form {self.laplacian_form!r}")
 
 
-def _stable_log_softmax(logits: LogitsBatch) -> tuple[np.ndarray, np.ndarray]:
-    scaled = logits.values / logits.temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_norm
-    return log_p, np.exp(log_p)
-
-
-def clustering_ce(
-    q_teacher: AssignmentMatrix, p_student_logits: LogitsBatch
-) -> tuple[float, np.ndarray]:
+def clustering_ce(q, logits, temperature: float | None = None) -> tuple[float, np.ndarray]:
     """Cross-entropy of student softmax against fixed teacher assignments.
 
     L = -(1/B) sum_i sum_k q_ik log p_ik with p = softmax(logits / tau).
     Returns (L, dL/dlogits) where dL/dlogits = (p - q) / (B * tau).
+
+    q and logits are B x K arrays, checked as AssignmentMatrix and LogitsBatch
+    check them but not copied.  An AssignmentMatrix or LogitsBatch may stand
+    in for either; temperature defaults to the LogitsBatch's own, else 1.0.
     """
-    q = q_teacher.values
-    if q.shape != p_student_logits.shape:
-        raise ValueError(
-            f"shape mismatch: teacher {q.shape} vs student {p_student_logits.shape}"
-        )
+    if isinstance(logits, LogitsBatch):
+        temperature = logits.temperature if temperature is None else temperature
+        logits = logits.values
+    tau = 1.0 if temperature is None else temperature
+    q = _checked_assignments(q.values if isinstance(q, AssignmentMatrix) else q)
+    logits = _checked_logits(logits, tau)
+    if q.shape != logits.shape:
+        raise ValueError(f"shape mismatch: teacher {q.shape} vs student {logits.shape}")
     b = q.shape[0]
-    log_p, p = _stable_log_softmax(p_student_logits)
+    scaled = logits / tau
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     terms = np.where(q > 0.0, q * log_p, 0.0)
     loss = -terms.sum() / b
-    grad = (p - q) / (b * p_student_logits.temperature)
+    grad = (np.exp(log_p) - q) / (b * tau)
     return float(loss), grad
 
 
@@ -176,9 +152,9 @@ def _laplacian_huber_residual(
 
 
 def laplacian_loss(
-    embeddings: EmbeddingBatch, graph: KnnGraph, config: LossConfig
+    values: np.ndarray, graph: KnnGraph, config: LossConfig
 ) -> tuple[float, np.ndarray]:
-    """Graph smoothness penalty on embeddings, in one of two forms.
+    """Graph smoothness penalty on N x D embeddings, in one of two forms.
 
     pairwise: mean over edges of w_ij * |z_i - z_j|^2.
     huber_residual: mean over points of Huber_delta(|z_i - weighted
@@ -186,11 +162,9 @@ def laplacian_loss(
 
     An empty edge set yields loss 0 (with a warning) and zero gradient.
     """
-    values = embeddings.values
+    values = np.asarray(values, dtype=np.float64)
     if graph.num_nodes != len(values):
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes but batch has {len(values)} embeddings"
-        )
+        raise ValueError(f"graph has {graph.num_nodes} nodes but batch has {len(values)} embeddings")
     if graph.num_edges == 0:
         warnings.warn("Laplacian loss on an empty edge set is 0", stacklevel=2)
         return 0.0, np.zeros_like(values)
@@ -200,7 +174,7 @@ def laplacian_loss(
 
 
 def consistency_loss(
-    teacher: EmbeddingBatch, student: EmbeddingBatch, pairs: CorrespondenceSet
+    teacher_values: np.ndarray, student_values: np.ndarray, pairs: CorrespondenceSet
 ) -> tuple[float, np.ndarray]:
     """Mean squared embedding discrepancy over matched pairs.
 
@@ -208,14 +182,16 @@ def consistency_loss(
     constant; the gradient lands on the student rows:
     2 (z_student_i - z_teacher_j) / |P|.
     """
-    if teacher.values.shape[1] != student.values.shape[1]:
+    teacher_values = np.asarray(teacher_values, dtype=np.float64)
+    student_values = np.asarray(student_values, dtype=np.float64)
+    if teacher_values.shape[1] != student_values.shape[1]:
         raise ValueError("teacher and student embedding dimensions differ")
-    grad = np.zeros_like(student.values)
+    grad = np.zeros_like(student_values)
     if len(pairs) == 0:
         warnings.warn("consistency loss on an empty pair set is 0", stacklevel=2)
         return 0.0, grad
     si, tj = pairs.student_indices, pairs.teacher_indices
-    diff = student.values[si] - teacher.values[tj]
+    diff = student_values[si] - teacher_values[tj]
     loss = float(np.einsum("ij,ij->", diff, diff) / len(pairs))
     grad[si] = (2.0 / len(pairs)) * diff
     return loss, grad

@@ -10,18 +10,39 @@ the test suite.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import frozen_array
 from .geometry import PointCloud
-from .losses import EmbeddingBatch
 from .rng import make_rng
 from .sinkhorn import LogitsBatch
 
 CHECKPOINT_MAGIC = b"LAM3C1"
 NORM_EPS = 1e-8
+
+
+@dataclass(frozen=True)
+class EmbeddingBatch:
+    """Per-point embeddings alongside the coordinates they are attached to."""
+
+    values: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self):
+        v = frozen_array(self.values, np.float64)
+        p = frozen_array(self.positions, np.float64)
+        if v.ndim != 2:
+            raise ValueError(f"embeddings must be 2-D, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("embeddings must be finite")
+        if p.shape != (len(v), 3):
+            raise ValueError("positions must be (N, 3) matching the embedding count")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "positions", p)
 
 
 @dataclass
@@ -31,14 +52,6 @@ class EncoderParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     mask_token: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {}
@@ -276,8 +289,6 @@ def ema_update(
 
     Prototype columns are re-normalized after the update.
     """
-    if not 0.0 <= momentum <= 1.0:
-        raise ValueError("momentum must lie in [0, 1]")
     t_tensors = teacher.params.tensors()
     s_tensors = student_params.tensors()
     if set(t_tensors) != set(s_tensors) or any(
@@ -316,20 +327,36 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The named float32 tensors of a save_checkpoint file.
+
+    A file that is not a checkpoint, is cut short, or whose header entries do
+    not fit its payload raises a ValueError that names the problem.
+    """
     with open(path, "rb") as stream:
-        magic = stream.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        header_len = int(np.frombuffer(stream.read(4), dtype="<u4")[0])
-        header = json.loads(stream.read(header_len).decode("utf-8"))
-        payload = stream.read()
+        blob = stream.read()
+    start = len(CHECKPOINT_MAGIC) + 4
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"bad checkpoint magic {blob[: len(CHECKPOINT_MAGIC)]!r}")
+    if len(blob) < start:
+        raise ValueError("checkpoint cut short inside its 4-byte header length")
+    end = start + int.from_bytes(blob[start - 4 : start], "little")
+    if len(blob) < end:
+        raise ValueError(f"checkpoint cut short inside its {end - start}-byte header")
+    try:
+        entries = [(e["name"], tuple(e["shape"]), e["offset"])
+                   for e in json.loads(blob[start:end])["tensors"]]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed checkpoint header: {exc!r}") from None
+    payload = memoryview(blob)[end:]
     out = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        out[entry["name"]] = arr.reshape(shape).copy()
+    for name, shape, offset in entries:
+        if not (isinstance(name, str) and all(type(v) is int and v >= 0 for v in (offset, *shape))):
+            raise ValueError(f"malformed checkpoint entry {name!r}: shape {shape}, offset {offset}")
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
+            raise ValueError(f"checkpoint tensor {name!r} (shape {shape}, offset {offset}) runs past "
+                             f"the {len(payload)}-byte payload: truncated file or wrong header")
+        out[name] = np.frombuffer(payload, "<f4", count, offset).reshape(shape).copy()
     return out
 
 

@@ -27,6 +27,7 @@ _PLY_TO_NUMPY = {
     "double": "<f8", "float64": "<f8",
 }
 
+_FORMATS = {"ascii": "ascii", "binary_little_endian": "binary"}
 _COLOR_NAMES = ("red", "green", "blue")
 _NORMAL_NAMES = ("nx", "ny", "nz")
 
@@ -52,21 +53,22 @@ def _parse_header(stream) -> tuple[str, list[tuple[str, int, list[tuple[str, str
             break
         fields = line.split()
         if fields[0] == "format":
-            if fields[1] == "ascii":
-                fmt = "ascii"
-            elif fields[1] == "binary_little_endian":
-                fmt = "binary"
-            else:
-                raise PlyError(f"unsupported PLY format {fields[1]!r}")
+            fmt = _FORMATS.get(fields[1] if len(fields) > 1 else "")
+            if fmt is None:
+                raise PlyError(f"unsupported PLY format in header line {line!r}")
         elif fields[0] == "element":
+            if len(fields) != 3 or not fields[2].isdigit():
+                raise PlyError(f"header line {line!r} is not 'element <name> <count>'")
             elements.append((fields[1], int(fields[2]), []))
         elif fields[0] == "property":
             if not elements:
                 raise PlyError("property before any element")
-            if fields[1] == "list":
+            if fields[1:2] == ["list"] and len(fields) == 5:
                 elements[-1][2].append((fields[-1], "list"))
-            else:
+            elif len(fields) == 3 and fields[1] in _PLY_TO_NUMPY:
                 elements[-1][2].append((fields[2], fields[1]))
+            else:
+                raise PlyError(f"header line {line!r} is not 'property <type> <name>' of a known type")
     if fmt is None:
         raise PlyError("missing format line")
     return fmt, elements
@@ -75,10 +77,14 @@ def _parse_header(stream) -> tuple[str, list[tuple[str, int, list[tuple[str, str
 def _read_element_ascii(stream, count: int, props: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     rows = np.empty((count, len(props)), dtype=np.float64)
     for i in range(count):
-        parts = stream.readline().split()
+        line = stream.readline().decode("ascii", errors="replace")
+        parts = line.split()
         if len(parts) < len(props):
             raise PlyError(f"truncated ASCII element (row {i})")
-        rows[i] = [float(x) for x in parts[: len(props)]]
+        try:
+            rows[i] = [float(x) for x in parts[: len(props)]]
+        except ValueError:
+            raise PlyError(f"non-numeric value in ASCII element row {i}: {line.strip()!r}") from None
     return {name: rows[:, j].astype(_PLY_TO_NUMPY[t]) for j, (name, t) in enumerate(props)}
 
 

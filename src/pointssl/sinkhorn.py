@@ -17,6 +17,37 @@ from ._arrays import frozen_array
 ROW_SUM_TOL = 1e-6
 
 
+def _checked_logits(values, temperature: float) -> np.ndarray:
+    """values as float64 B x K logits (K >= 2) at a positive temperature, or ValueError."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"logits must be 2-D, got shape {v.shape}")
+    if v.shape[1] < 2:
+        raise ValueError("need at least 2 prototypes")
+    # One pass covers the common all-finite case; only a matrix holding a
+    # NaN or an infinity runs the checks that tell which error to raise.
+    if not np.isfinite(v).all():
+        if np.isnan(v).any() or np.isposinf(v).any():
+            raise ValueError("logits must not contain NaN or +Inf")
+        if np.isneginf(v).all(axis=1).any():
+            raise ValueError("a row of all -Inf cannot be assigned")
+    if not temperature > 0.0:
+        raise ValueError("temperature must be positive")
+    return v
+
+
+def _checked_assignments(values) -> np.ndarray:
+    """values as float64 B x K non-negative rows summing to 1, or ValueError."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"assignments must be 2-D, got shape {v.shape}")
+    if v.size and v.min() < 0.0:
+        raise ValueError("assignments must be non-negative")
+    if v.size and np.abs(v.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        raise ValueError("assignment rows must sum to 1 within 1e-6")
+    return v
+
+
 @dataclass(frozen=True)
 class LogitsBatch:
     """B x K prototype logits with a sharpening temperature."""
@@ -25,25 +56,8 @@ class LogitsBatch:
     temperature: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"logits must be 2-D, got shape {v.shape}")
-        if v.shape[1] < 2:
-            raise ValueError("need at least 2 prototypes")
-        # One pass covers the common all-finite case; only a matrix holding a
-        # NaN or an infinity runs the checks that tell which error to raise.
-        if not np.isfinite(v).all():
-            if np.isnan(v).any() or np.isposinf(v).any():
-                raise ValueError("logits must not contain NaN or +Inf")
-            if np.isneginf(v).all(axis=1).any():
-                raise ValueError("a row of all -Inf cannot be assigned")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-        object.__setattr__(self, "values", frozen_array(v))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        v = frozen_array(self.values, np.float64)
+        object.__setattr__(self, "values", _checked_logits(v, self.temperature))
 
 
 @dataclass(frozen=True)
@@ -53,14 +67,7 @@ class AssignmentMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"assignments must be 2-D, got shape {v.shape}")
-        if v.size and v.min() < 0.0:
-            raise ValueError("assignments must be non-negative")
-        if v.size and np.abs(v.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("assignment rows must sum to 1 within 1e-6")
-        object.__setattr__(self, "values", frozen_array(v))
+        object.__setattr__(self, "values", _checked_assignments(frozen_array(self.values, np.float64)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -98,4 +105,5 @@ def sinkhorn_normalize(logits: LogitsBatch, iterations: int = 3) -> AssignmentMa
         col_sums = m.sum(axis=0, keepdims=True)
         m *= np.divide(column_target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0.0)
         m /= m.sum(axis=1, keepdims=True)
+    m.flags.writeable = False  # handed to the AssignmentMatrix without a copy
     return AssignmentMatrix(m)

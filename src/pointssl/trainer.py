@@ -24,7 +24,6 @@ from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, _usable_cpus, build_knn_graph
 from .losses import (
-    EmbeddingBatch,
     LossConfig,
     clustering_ce,
     consistency_loss,
@@ -320,9 +319,10 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_m
     # The logits and their pooled copy (points x K, each about 11 MB for four
     # 4,000-point rooms) are dropped before the per-scene work, which may run
     # several scenes at once.
-    pooled = LogitsBatch(np.concatenate(teacher_logits, axis=0), tau_t)
+    pooled = np.concatenate(teacher_logits, axis=0)
     del teacher_logits
-    q_all = sinkhorn_normalize(pooled, iterations=config.sinkhorn_iterations).values
+    pooled.flags.writeable = False  # the LogitsBatch adopts it without a copy
+    q_all = sinkhorn_normalize(LogitsBatch(pooled, tau_t), config.sinkhorn_iterations).values
     del pooled
     q_split = np.split(q_all, splits)
 
@@ -388,9 +388,7 @@ def _scene_objective(
     # Mask loss: distill the teacher's assignments on the masked points.
     if mask.any():
         rows = np.flatnonzero(mask)
-        value, grad = clustering_ce(
-            AssignmentMatrix(q0[rows]), LogitsBatch(logits_g0[rows], tau_s)
-        )
+        value, grad = clustering_ce(q0[rows], logits_g0[rows], tau_s)
         terms["mask"] = value
         grad_logits_g0[rows] += config.mask_weight * grad
 
@@ -400,8 +398,7 @@ def _scene_objective(
     )
     if len(pairs):
         value, grad = clustering_ce(
-            AssignmentMatrix(q1[pairs.teacher_indices]),
-            LogitsBatch(logits_g0[pairs.student_indices], tau_s),
+            q1[pairs.teacher_indices], logits_g0[pairs.student_indices], tau_s
         )
         terms["roll"] = value
         grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
@@ -425,11 +422,7 @@ def _scene_objective(
             xa.original_positions, g0.original_positions, config.correspondence_cutoff
         )
         if len(pairs_cons):
-            value, grad = consistency_loss(
-                EmbeddingBatch(teacher_emb, xa.cloud.positions),
-                EmbeddingBatch(cache_g0.embeddings, g0.cloud.positions),
-                pairs_cons,
-            )
+            value, grad = consistency_loss(teacher_emb, cache_g0.embeddings, pairs_cons)
             terms["consistency"] = value
             grad_emb_g0 = mu * grad
 
@@ -474,8 +467,7 @@ def _unmask_objective(
         c.embeddings[r] @ state.head.projection for c, r in zip(local_caches, local_rows)
     ]
     value, grad = clustering_ce(
-        AssignmentMatrix(np.concatenate(local_q)),
-        LogitsBatch(np.concatenate(logits_locals), config.student_temperature),
+        np.concatenate(local_q), np.concatenate(logits_locals), config.student_temperature
     )
     contributions = []
     offsets = np.cumsum([0] + matched_counts)
@@ -505,9 +497,7 @@ def _laplacian_objective(
     if not graph.num_edges:
         return None, None
     loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)
-    value, grad = laplacian_loss(
-        EmbeddingBatch(cache_g1.embeddings, g1.cloud.positions), graph, loss_cfg
-    )
+    value, grad = laplacian_loss(cache_g1.embeddings, graph, loss_cfg)
     return value, encode_backward(state.params, cache_g1, lam * grad)
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pointssl import (
-    EmbeddingBatch,
     LogitsBatch,
     LossConfig,
     SceneSpec,
@@ -281,9 +280,7 @@ def test_criterion_7_regularizer_effect(training_runs):
         for scene in held_out:
             graph = build_knn_graph(scene, k=24, max_radius=0.08)
             emb = encode(params, scene)
-            value, _ = laplacian_loss(
-                EmbeddingBatch(emb.values, scene.positions), graph, pairwise
-            )
+            value, _ = laplacian_loss(emb.values, graph, pairwise)
             energies.append(value)
         return np.array(energies)
 

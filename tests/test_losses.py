@@ -3,7 +3,6 @@ import pytest
 
 from pointssl import (
     CorrespondenceSet,
-    EmbeddingBatch,
     KnnGraph,
     LogitsBatch,
     LossConfig,
@@ -15,6 +14,7 @@ from pointssl import (
     softmax_rows,
 )
 from pointssl.gradcheck import finite_difference, relative_error
+from pointssl.sinkhorn import AssignmentMatrix
 
 from conftest import make_cloud
 
@@ -24,14 +24,10 @@ class TestClusteringCE:
         k = 10
         q = np.zeros((1, k))
         q[0, 3] = 1.0
-        from pointssl.sinkhorn import AssignmentMatrix
-
-        loss, _ = clustering_ce(AssignmentMatrix(q), LogitsBatch(np.zeros((1, k))))
+        loss, _ = clustering_ce(q, np.zeros((1, k)))
         assert loss == pytest.approx(np.log(10.0), abs=1e-9)
 
     def test_minimum_at_q_equals_p(self):
-        from pointssl.sinkhorn import AssignmentMatrix
-
         rng = np.random.default_rng(0)
         logits = LogitsBatch(rng.normal(0, 1, (6, 5)), temperature=0.7)
         p = softmax_rows(logits)
@@ -41,25 +37,39 @@ class TestClusteringCE:
         assert np.abs(grad).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        from pointssl.sinkhorn import AssignmentMatrix
-
         rng = np.random.default_rng(1)
         q = softmax_rows(LogitsBatch(rng.normal(0, 2, (5, 7)))).values
         logits = rng.normal(0, 2, (5, 7))
         tau = 0.3
-        _, grad = clustering_ce(AssignmentMatrix(q), LogitsBatch(logits, tau))
-        numeric = finite_difference(
-            lambda x: clustering_ce(AssignmentMatrix(q), LogitsBatch(x, tau))[0], logits
-        )
+        _, grad = clustering_ce(q, logits, tau)
+        numeric = finite_difference(lambda x: clustering_ce(q, x, tau)[0], logits)
         assert relative_error(grad, numeric) < 1e-5
 
     def test_shape_mismatch(self):
-        from pointssl.sinkhorn import AssignmentMatrix
-
         with pytest.raises(ValueError, match="mismatch"):
-            clustering_ce(
-                AssignmentMatrix(np.full((2, 2), 0.5)), LogitsBatch(np.zeros((3, 2)))
-            )
+            clustering_ce(np.full((2, 2), 0.5), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("q, logits, tau, message", [
+        (np.full((2, 2), 0.5), np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0, "NaN or \\+Inf"),
+        (np.full((2, 2), 0.5), np.array([[-np.inf, -np.inf], [0.0, 0.0]]), 1.0, "all -Inf"),
+        (np.ones((2, 1)), np.zeros((2, 1)), 1.0, "at least 2 prototypes"),
+        (np.full((2, 2), 0.5), np.zeros((2, 2)), 0.0, "temperature must be positive"),
+        (np.full(4, 0.5), np.zeros((2, 2)), 1.0, "assignments must be 2-D"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), np.zeros((2, 2)), 1.0, "non-negative"),
+        (np.full((2, 2), 0.7), np.zeros((2, 2)), 1.0, "sum to 1"),
+    ])
+    def test_arrays_get_the_container_checks(self, q, logits, tau, message):
+        with pytest.raises(ValueError, match=message):
+            clustering_ce(q, logits, tau)
+
+    def test_arrays_stay_unchanged_and_match_the_containers(self):
+        q = np.full((3, 4), 0.25)
+        logits = np.arange(12.0).reshape(3, 4)
+        logits.flags.writeable = False
+        loss, grad = clustering_ce(q, logits, 0.5)
+        assert np.array_equal(logits, np.arange(12.0).reshape(3, 4))
+        wrapped = clustering_ce(AssignmentMatrix(q), LogitsBatch(logits, 0.5))
+        assert wrapped[0] == loss and np.array_equal(wrapped[1], grad)
 
 
 class TestLaplacian:
@@ -74,9 +84,7 @@ class TestLaplacian:
         positions = rng.uniform(0, 1, (20, 3))
         graph = build_knn_graph(make_cloud(positions), k=4, max_radius=2.0)
         values = np.tile(rng.normal(0, 1, (1, 6)), (20, 1))
-        loss, grad = laplacian_loss(
-            EmbeddingBatch(values, positions), graph, LossConfig(laplacian_form=form)
-        )
+        loss, grad = laplacian_loss(values, graph, LossConfig(laplacian_form=form))
         # residuals only vanish to rounding: the weighted neighbor mean of
         # identical vectors reconstructs them to ~1e-16 per entry
         assert abs(loss) < 1e-28
@@ -86,11 +94,7 @@ class TestLaplacian:
         # both directed edges carry weight exp(-1); squared difference is 1
         graph = self._two_point_graph()
         values = np.array([[0.0], [1.0]])
-        loss, _ = laplacian_loss(
-            EmbeddingBatch(values, np.array([[0, 0, 0], [0.2, 0, 0]], float)),
-            graph,
-            LossConfig(laplacian_form="pairwise"),
-        )
+        loss, _ = laplacian_loss(values, graph, LossConfig(laplacian_form="pairwise"))
         assert loss == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     @pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
@@ -101,12 +105,8 @@ class TestLaplacian:
         config = LossConfig(laplacian_form=form, huber_delta=0.9)
         for _ in range(5):
             values = rng.normal(0, 1, (20, 8))
-            batch = EmbeddingBatch(values, positions)
-            _, grad = laplacian_loss(batch, graph, config)
-            numeric = finite_difference(
-                lambda x: laplacian_loss(EmbeddingBatch(x, positions), graph, config)[0],
-                values,
-            )
+            _, grad = laplacian_loss(values, graph, config)
+            numeric = finite_difference(lambda x: laplacian_loss(x, graph, config)[0], values)
             assert relative_error(grad, numeric) < 1e-4
 
     def test_huber_regimes(self):
@@ -116,11 +116,11 @@ class TestLaplacian:
         small = np.array([[0.0], [0.01], [0.0]])
         large = np.array([[0.0], [5.0], [0.0]])
         config = LossConfig(laplacian_form="huber_residual", huber_delta=0.5)
-        loss_small, _ = laplacian_loss(EmbeddingBatch(small, positions), graph, config)
-        loss_large, _ = laplacian_loss(EmbeddingBatch(large, positions), graph, config)
+        loss_small, _ = laplacian_loss(small, graph, config)
+        loss_large, _ = laplacian_loss(large, graph, config)
         assert loss_small < loss_large
         # in the linear regime the loss grows linearly, not quadratically
-        loss_10x, _ = laplacian_loss(EmbeddingBatch(large * 2, positions), graph, config)
+        loss_10x, _ = laplacian_loss(large * 2, graph, config)
         assert loss_10x < 4 * loss_large
 
     def test_pairwise_rigid_invariance(self):
@@ -134,8 +134,8 @@ class TestLaplacian:
         config = LossConfig(laplacian_form="pairwise")
         g1 = build_knn_graph(make_cloud(positions), k=5, max_radius=2.0, sigma=0.3)
         g2 = build_knn_graph(make_cloud(moved), k=5, max_radius=2.0, sigma=0.3)
-        l1, _ = laplacian_loss(EmbeddingBatch(values, positions), g1, config)
-        l2, _ = laplacian_loss(EmbeddingBatch(values, moved), g2, config)
+        l1, _ = laplacian_loss(values, g1, config)
+        l2, _ = laplacian_loss(values, g2, config)
         assert abs(l1 - l2) < 1e-9
 
     @pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
@@ -145,9 +145,7 @@ class TestLaplacian:
         graph = build_knn_graph(make_cloud(positions), k=3, max_radius=2.0)
         for _ in range(10):
             values = rng.normal(0, 2, (25, 5))
-            loss, _ = laplacian_loss(
-                EmbeddingBatch(values, positions), graph, LossConfig(laplacian_form=form)
-            )
+            loss, _ = laplacian_loss(values, graph, LossConfig(laplacian_form=form))
             assert loss >= 0.0
 
     def test_empty_edges_warn(self):
@@ -155,9 +153,7 @@ class TestLaplacian:
         graph = build_knn_graph(cloud, k=1, max_radius=0.5)
         assert graph.num_edges == 0
         with pytest.warns(UserWarning, match="empty edge set"):
-            loss, grad = laplacian_loss(
-                EmbeddingBatch(np.ones((2, 3)), cloud.positions), graph, LossConfig()
-            )
+            loss, grad = laplacian_loss(np.ones((2, 3)), graph, LossConfig())
         assert loss == 0.0 and not grad.any()
 
 
@@ -175,16 +171,14 @@ class TestConsistency:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 1, (10, 4))
-        positions = rng.uniform(0, 1, (10, 3))
-        batch = EmbeddingBatch(values, positions)
         pairs = CorrespondenceSet(np.arange(10), np.arange(10))
-        loss, grad = consistency_loss(batch, batch, pairs)
+        loss, grad = consistency_loss(values, values, pairs)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_single_pair_value_and_gradient(self):
-        teacher = EmbeddingBatch(np.array([[0.0, 0.0, 0.0]]), np.zeros((1, 3)))
-        student = EmbeddingBatch(np.array([[2.0, 0.0, 0.0]]), np.zeros((1, 3)))
+        teacher = np.array([[0.0, 0.0, 0.0]])
+        student = np.array([[2.0, 0.0, 0.0]])
         pairs = CorrespondenceSet([0], [0])
         loss, grad = consistency_loss(teacher, student, pairs)
         assert loss == pytest.approx(4.0)
@@ -192,28 +186,29 @@ class TestConsistency:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        teacher = EmbeddingBatch(rng.normal(0, 1, (16, 8)), rng.uniform(0, 1, (16, 3)))
+        teacher = rng.normal(0, 1, (16, 8))
+        rng.uniform(0, 1, (16, 3))  # discarded; holds the later draws in place
         student_values = rng.normal(0, 1, (16, 8))
-        positions = rng.uniform(0, 1, (16, 3))
+        rng.uniform(0, 1, (16, 3))
         pairs = CorrespondenceSet(np.arange(16), rng.integers(0, 16, 16))
-        _, grad = consistency_loss(teacher, EmbeddingBatch(student_values, positions), pairs)
+        _, grad = consistency_loss(teacher, student_values, pairs)
         numeric = finite_difference(
-            lambda x: consistency_loss(teacher, EmbeddingBatch(x, positions), pairs)[0],
-            student_values,
+            lambda x: consistency_loss(teacher, x, pairs)[0], student_values
         )
         assert relative_error(grad, numeric) < 1e-5
 
     def test_swap_symmetric_value(self):
         rng = np.random.default_rng(6)
-        a = EmbeddingBatch(rng.normal(0, 1, (12, 5)), rng.uniform(0, 1, (12, 3)))
-        b = EmbeddingBatch(rng.normal(0, 1, (12, 5)), rng.uniform(0, 1, (12, 3)))
+        a = rng.normal(0, 1, (12, 5))
+        rng.uniform(0, 1, (12, 3))  # discarded; holds b in place
+        b = rng.normal(0, 1, (12, 5))
         pairs = CorrespondenceSet(np.arange(12), np.arange(12))
         l_ab, _ = consistency_loss(a, b, pairs)
         l_ba, _ = consistency_loss(b, a, pairs)
         assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
     def test_empty_pairs_warn(self):
-        batch = EmbeddingBatch(np.ones((3, 2)), np.zeros((3, 3)))
+        batch = np.ones((3, 2))
         empty = CorrespondenceSet(np.empty(0, int), np.empty(0, int))
         with pytest.warns(UserWarning, match="empty pair set"):
             loss, grad = consistency_loss(batch, batch, empty)
@@ -268,9 +263,9 @@ def test_laplacian_bit_identical_to_add_at(form):
                          max_radius=0.1, num_nodes=n)
         values = rng.normal(0, 1, (n, int(rng.integers(1, 33))))
         delta = float(rng.choice([0.05, 0.5, 5.0]))
+        rng.uniform(0, 1, (n, 3))  # discarded; holds later trials in place
         loss, grad = laplacian_loss(
-            EmbeddingBatch(values, rng.uniform(0, 1, (n, 3))), graph,
-            LossConfig(laplacian_form=form, huber_delta=delta),
+            values, graph, LossConfig(laplacian_form=form, huber_delta=delta)
         )
         ref_loss, ref_grad = _add_at_laplacian(values, graph, form, delta)
         assert loss == ref_loss

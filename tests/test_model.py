@@ -1,5 +1,11 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointssl import (
     EmbeddingBatch,
@@ -25,6 +31,23 @@ from pointssl.model import (
     save_checkpoint,
 )
 from pointssl.rng import make_rng
+
+SMALL_TENSORS = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "s": np.float32([2.5])}
+
+
+def _checkpoint_bytes(tensors) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.ckpt"
+        save_checkpoint(path, tensors)
+        return path.read_bytes()
+
+
+SMALL_CHECKPOINT = _checkpoint_bytes(SMALL_TENSORS)
+
+
+def _handmade_checkpoint(entry: dict, payload: bytes) -> bytes:
+    header = json.dumps({"tensors": [entry]}).encode()
+    return b"LAM3C1" + np.uint32(len(header)).tobytes() + header + payload
 
 
 def _featured_cloud(rng, n=32):
@@ -289,6 +312,75 @@ class TestCheckpoint:
         path.write_bytes(b"NOTCKPT" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(SMALL_CHECKPOINT[:-3])
+        with pytest.raises(ValueError, match="runs past the 25-byte payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [6, 7, 9])
+    def test_cut_inside_header_length_rejected(self, tmp_path, cut):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(SMALL_CHECKPOINT[:cut])
+        with pytest.raises(ValueError, match="inside its 4-byte header length"):
+            load_checkpoint(path)
+
+    def test_cut_inside_header_rejected(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(SMALL_CHECKPOINT[:20])
+        with pytest.raises(ValueError, match="cut short inside its .*-byte header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "a", "shape": [2, 3], "offset": 4},
+        {"name": "a", "shape": [2, 4], "offset": 0},
+        {"name": "a", "shape": [2, 3], "offset": 10**12},
+    ])
+    def test_entry_running_past_the_payload_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_handmade_checkpoint(entry, np.zeros(6, "<f4").tobytes()))
+        with pytest.raises(ValueError, match="'a' .* runs past the 24-byte payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "a", "shape": [2, -3], "offset": 0},
+        {"name": "a", "shape": [2, 3], "offset": -4},
+        {"name": "a", "shape": [2.0, 3], "offset": 0},
+        {"name": "a", "shape": 6, "offset": 0},
+        {"name": "a", "shape": [6]},
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_handmade_checkpoint(entry, np.zeros(6, "<f4").tobytes()))
+        with pytest.raises(ValueError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, len(SMALL_CHECKPOINT)))
+    def test_checkpoint_cut_anywhere_loads_whole_or_raises(self, tmp_path_factory, cut):
+        path = tmp_path_factory.getbasetemp() / "fuzz_cut.ckpt"
+        path.write_bytes(SMALL_CHECKPOINT[:cut])
+        if cut < len(SMALL_CHECKPOINT):
+            with pytest.raises(ValueError, match="checkpoint"):
+                load_checkpoint(path)
+        else:
+            loaded = load_checkpoint(path)
+            assert all(np.array_equal(loaded[k], v) for k, v in SMALL_TENSORS.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(position=st.integers(0, len(SMALL_CHECKPOINT) - 1), value=st.integers(0, 255))
+    def test_checkpoint_with_a_changed_byte_loads_or_raises(self, tmp_path_factory, position, value):
+        blob = bytearray(SMALL_CHECKPOINT)
+        blob[position] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz_byte.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError as exc:
+            assert "checkpoint" in str(exc)
+        else:
+            assert all(v.dtype == np.float32 for v in loaded.values())
 
     def test_model_roundtrip_reproduces_embeddings_bitwise(self, tmp_path):
         params = init_encoder(seed=11)

@@ -137,3 +137,32 @@ def test_skips_scalar_elements_before_vertex(tmp_path):
     )
     cloud, _ = read_ply(path)
     np.testing.assert_allclose(cloud.positions[0], [1, 2, 3])
+
+
+_HEADER = ["ply", "format ascii 1.0", "element vertex 1",
+           "property float x", "property float y", "property float z"]
+
+
+@pytest.mark.parametrize("line, index", [
+    ("element vertex abc", 2),
+    ("element vertex -5", 2),
+    ("element vertex", 2),
+    ("property foo x", 3),
+    ("format", 1),
+])
+def test_bad_header_line_is_named(tmp_path, line, index):
+    header = list(_HEADER)
+    header[index] = line
+    path = tmp_path / "bad_header.ply"
+    path.write_text("\n".join(header + ["end_header", "1 2 3", ""]))
+    with pytest.raises(PlyError, match=f"header line '{line}'"):
+        read_ply(path)
+
+
+def test_non_numeric_ascii_value_names_the_row(tmp_path):
+    path = tmp_path / "bad_value.ply"
+    header = list(_HEADER)
+    header[2] = "element vertex 2"
+    path.write_text("\n".join(header + ["end_header", "1 2 3", "4 five 6", ""]))
+    with pytest.raises(PlyError, match="row 1: '4 five 6'"):
+        read_ply(path)

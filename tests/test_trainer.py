@@ -1,10 +1,14 @@
 import json
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pointssl import (
+    AssignmentMatrix,
+    EmbeddingBatch,
+    LogitsBatch,
     Schedule,
     TrainConfig,
     init_train_state,
@@ -221,6 +225,22 @@ class TestTrainStep:
         for a, b in zip(split.params.tensors().values(), stepped.params.tensors().values()):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(split.teacher.head.projection, stepped.teacher.head.projection)
+
+
+def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
+    # The losses take the step's arrays as they are; the one container pair a
+    # step builds is the pooled Sinkhorn's.
+    built = Counter()
+    for cls in (LogitsBatch, AssignmentMatrix, EmbeddingBatch):
+        def counting(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    state = init_train_state(_toy_config(batch_size=4))
+    _, record = train_step(state, toy_scenes[:4])
+    assert record.laplacian > 0.0 and record.consistency > 0.0
+    assert built == {"LogitsBatch": 1, "AssignmentMatrix": 1}
 
 
 class TestSceneThreads:
