@@ -9,7 +9,8 @@ Library surface:
 - losses: clustering_ce, laplacian_loss (pairwise and Huber-residual forms)
   and consistency_loss over plain arrays, all with analytic gradients.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
-- views: global/local crop generation, grid masking, noise augmentation.
+- views: global/local crops as arrays of encoder features (View), grid
+  masking over positions, and noisy views (noise_view).
 - trainer: schedules and the full training loop.
 - scenes: synthetic annotated room generator.
 - pipeline: batch alignment with per-scene reports; PCA color export.
@@ -65,7 +66,7 @@ from .trainer import (
     run_training,
     train_step,
 )
-from .views import View, ViewConfig, ViewSet, add_noise, grid_mask, make_views
+from .views import View, ViewConfig, ViewSet, grid_mask, make_views, noise_view
 
 __version__ = "0.1.0"
 
@@ -95,7 +96,6 @@ __all__ = [
     "ViewConfig",
     "ViewSet",
     "aabb_diagonal",
-    "add_noise",
     "align_z_up",
     "build_knn_graph",
     "clustering_ce",
@@ -113,6 +113,7 @@ __all__ = [
     "load_model",
     "make_views",
     "match_correspondences",
+    "noise_view",
     "prototype_logits",
     "prototype_usage_entropy",
     "read_ply",

@@ -360,16 +360,22 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
+def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in tensors:
+        raise ValueError(f"checkpoint has no tensor {name!r}")
+    return tensors[name].astype(np.float64)
+
+
 def _params_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> EncoderParams:
     weights, biases = [], []
     i = 0
     while f"{prefix}layer{i}.weight" in tensors:
-        weights.append(tensors[f"{prefix}layer{i}.weight"].astype(np.float64))
-        biases.append(tensors[f"{prefix}layer{i}.bias"].astype(np.float64))
+        weights.append(_tensor(tensors, f"{prefix}layer{i}.weight"))
+        biases.append(_tensor(tensors, f"{prefix}layer{i}.bias"))
         i += 1
     if not weights:
         raise ValueError(f"checkpoint has no encoder layers under prefix {prefix!r}")
-    return EncoderParams(weights, biases, tensors[f"{prefix}mask_token"].astype(np.float64))
+    return EncoderParams(weights, biases, _tensor(tensors, f"{prefix}mask_token"))
 
 
 def save_model(
@@ -390,13 +396,13 @@ def save_model(
 def load_model(path) -> tuple[EncoderParams, PrototypeHead, TeacherState | None]:
     tensors = load_checkpoint(path)
     params = _params_from_tensors(tensors, "student.")
-    head = PrototypeHead(tensors["student.head.projection"].astype(np.float64))
+    head = PrototypeHead(_tensor(tensors, "student.head.projection"))
     teacher = None
     if "teacher.head.projection" in tensors:
         momentum = np.asarray(tensors.get("teacher.momentum", 0.996)).reshape(-1)
         teacher = TeacherState(
             _params_from_tensors(tensors, "teacher."),
-            PrototypeHead(tensors["teacher.head.projection"].astype(np.float64)),
+            PrototypeHead(_tensor(tensors, "teacher.head.projection")),
             float(momentum[0]),
         )
     return params, head, teacher

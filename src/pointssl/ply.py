@@ -9,6 +9,7 @@ canonical, so write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
+import os
 import warnings
 from pathlib import Path
 
@@ -90,10 +91,8 @@ def _read_element_ascii(stream, count: int, props: list[tuple[str, str]]) -> dic
 
 def _read_element_binary(stream, count: int, props: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     dtype = np.dtype([(name, _PLY_TO_NUMPY[t]) for name, t in props])
-    buf = stream.read(dtype.itemsize * count)
-    if len(buf) < dtype.itemsize * count:
-        raise PlyError("truncated binary element")
-    rec = np.frombuffer(buf, dtype=dtype, count=count)
+    # read_ply has checked that the file holds count rows.
+    rec = np.frombuffer(stream.read(dtype.itemsize * count), dtype=dtype, count=count)
     return {name: rec[name] for name, _ in props}
 
 
@@ -106,21 +105,26 @@ def read_ply(path: str | Path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     path = Path(path)
     with open(path, "rb") as stream:
         fmt, elements = _parse_header(stream)
+        file_size = os.fstat(stream.fileno()).st_size
         columns = None
         for name, count, props in elements:
+            if any(t == "list" for _, t in props):
+                raise PlyError(f"list properties on element {name!r} are unsupported")
+            # A binary row takes its properties' bytes, an ASCII row at least one byte
+            # a value: a count the rest of the file cannot hold allocates nothing.
+            size = sum(np.dtype(_PLY_TO_NUMPY[t]).itemsize for _, t in props)
+            left = file_size - stream.tell()
+            if count * (size if fmt == "binary" else max(1, len(props))) > left:
+                raise PlyError(f"element {name!r} declares {count} rows but only {left} bytes "
+                               f"follow the header")
             if name != "vertex":
-                if any(t == "list" for _, t in props):
-                    raise PlyError(f"cannot skip list-typed element {name!r} before vertex data")
                 # Fixed-size non-vertex element: skip its payload.
                 if fmt == "binary":
-                    size = sum(np.dtype(_PLY_TO_NUMPY[t]).itemsize for _, t in props)
                     stream.read(size * count)
                 else:
                     for _ in range(count):
                         stream.readline()
                 continue
-            if any(t == "list" for _, t in props):
-                raise PlyError("list properties on the vertex element are unsupported")
             reader = _read_element_ascii if fmt == "ascii" else _read_element_binary
             columns = reader(stream, count, props)
             for prop_name, ply_type in props:

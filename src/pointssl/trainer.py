@@ -40,12 +40,12 @@ from .model import (
     init_encoder,
     init_prototype_head,
     init_teacher,
-    point_features,
+    point_features,  # not called; perfbench/ traces the layer under this name
     prototype_logits_backward,
     save_model,
 )
 from .rng import make_rng
-from .sinkhorn import AssignmentMatrix, LogitsBatch, sinkhorn_normalize
+from .sinkhorn import LogitsBatch, sinkhorn_normalize
 from .views import View, ViewConfig, ViewSet, make_views, noise_view
 
 
@@ -221,21 +221,11 @@ def init_train_state(config: TrainConfig) -> TrainState:
     return TrainState(config=config, params=params, head=head, teacher=teacher)
 
 
-def prototype_usage_entropy(assignments) -> float:
-    """Shannon entropy (nats) of the mean assignment over prototypes.
+def prototype_usage_entropy(rows: np.ndarray) -> float:
+    """Shannon entropy (nats) of the mean of B x K assignment rows.
 
-    Accepts an AssignmentMatrix, a 2-D array of assignment rows, or a list
-    of either; the maximum is ln K at perfectly uniform usage.
+    The maximum is ln K at perfectly uniform usage.
     """
-    if isinstance(assignments, AssignmentMatrix):
-        rows = assignments.values
-    elif isinstance(assignments, np.ndarray):
-        rows = assignments
-    else:
-        stacked = [a.values if isinstance(a, AssignmentMatrix) else np.asarray(a) for a in assignments]
-        if not stacked:
-            raise ValueError("no assignments accumulated")
-        rows = np.concatenate(stacked, axis=0)
     usage = rows.mean(axis=0)
     usage = usage / usage.sum()
     positive = usage[usage > 0.0]
@@ -355,7 +345,7 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_m
 
 def _teacher_logits(teacher: TeacherState, views: ViewSet) -> list[np.ndarray]:
     return [
-        encode_features(teacher.params, point_features(view.cloud)).embeddings
+        encode_features(teacher.params, view.features).embeddings
         @ teacher.head.projection
         for view in views.global_views
     ]
@@ -381,7 +371,7 @@ def _scene_objective(
     g0, g1 = views.global_views
     mask = views.mask
 
-    cache_g0 = encode_features(state.params, point_features(g0.cloud), mask)
+    cache_g0 = encode_features(state.params, g0.features, mask)
     logits_g0 = cache_g0.embeddings @ state.head.projection
     grad_logits_g0 = np.zeros_like(logits_g0)
 
@@ -417,7 +407,7 @@ def _scene_objective(
             g1, config.views.noise_sigma, config.views.noise_dropout,
             _derive_seed(config, step, i, 1),
         )
-        teacher_emb = encode_features(state.teacher.params, point_features(xa.cloud)).embeddings
+        teacher_emb = encode_features(state.teacher.params, xa.features).embeddings
         pairs_cons = match_correspondences(
             xa.original_positions, g0.original_positions, config.correspondence_cutoff
         )
@@ -452,7 +442,7 @@ def _unmask_objective(
     teacher_tree = cKDTree(teacher_pos)
     local_caches, local_rows, local_q = [], [], []
     for local in views.local_views:
-        cache = encode_features(state.params, point_features(local.cloud))
+        cache = encode_features(state.params, local.features)
         lp = match_correspondences(
             teacher_pos, local.original_positions,
             config.correspondence_cutoff, teacher_tree=teacher_tree,
@@ -492,8 +482,9 @@ def _laplacian_objective(
     if lam <= 0.0:
         return None, None
     config = state.config
-    cache_g1 = encode_features(state.params, point_features(g1.cloud))
-    graph = build_knn_graph(g1.cloud, config.laplacian_knn, config.laplacian_max_radius)
+    cache_g1 = encode_features(state.params, g1.features)
+    cloud = PointCloud(g1.features[:, :3], valid=g1.valid)
+    graph = build_knn_graph(cloud, config.laplacian_knn, config.laplacian_max_radius)
     if not graph.num_edges:
         return None, None
     loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)

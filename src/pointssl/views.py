@@ -10,7 +10,7 @@ skipping one consumer never shifts another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,24 +44,33 @@ class ViewConfig:
 
 @dataclass(frozen=True)
 class View:
-    """One augmented crop plus the bookkeeping to undo it.
+    """One augmented crop: the rows its encoder reads, plus the bookkeeping to undo it.
 
-    cloud holds the augmented points.  source_indices map every view point
-    back into the scene; original_positions are the scene-frame coordinates.
-    The applied transform is p_view = rotation @ (flip * p_orig) + jitter,
-    with the drawn jitter stored so it can be excluded when inverting.
+    features is (N, 9): augmented xyz, jittered rgb and rotated normals, with
+    zero columns where the scene has no colors or normals (as
+    model.point_features builds them); valid holds the scene's mask rows.
+    source_indices map every view point back into the scene;
+    original_positions are the scene-frame coordinates.  The applied
+    transform is p_view = rotation @ (flip * p_orig) + jitter, with the drawn
+    jitter stored so it can be excluded when inverting.  A View takes its
+    arrays over and marks them read-only.
     """
 
-    cloud: PointCloud
+    features: np.ndarray
+    valid: np.ndarray
     source_indices: np.ndarray
     original_positions: np.ndarray
     rotation: np.ndarray
     flip: np.ndarray
     jitter: np.ndarray
 
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
     def invert_positions(self) -> np.ndarray:
         """Recover original coordinates from the view (jitter excluded)."""
-        unrotated = (self.cloud.positions - self.jitter) @ self.rotation
+        unrotated = (self.features[:, :3] - self.jitter) @ self.rotation
         return unrotated * self.flip
 
 
@@ -70,7 +79,6 @@ class ViewSet:
     global_views: tuple[View, ...]
     local_views: tuple[View, ...]
     mask: np.ndarray  # on global_views[0], the masked student view
-    seed: int
 
 
 def _z_rotation(angle: float) -> np.ndarray:
@@ -102,28 +110,22 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
         if config.jitter_sigma > 0.0
         else np.zeros_like(original)
     )
-    positions = (original * flip) @ rotation.T + jitter
-
-    colors = None
+    features = np.zeros((len(indices), 9))
+    features[:, :3] = (original * flip) @ rotation.T + jitter
     if scene.colors is not None:
         colors = scene.colors[indices]
         if config.color_jitter > 0.0:
             colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
-
-    normals = None
+        features[:, 3:6] = colors
     if scene.normals is not None:
-        normals = (scene.normals[indices] * flip) @ rotation.T
-
-    cloud = PointCloud(
-        positions=positions, colors=colors, normals=normals, valid=scene.valid[indices]
-    )
-    return View(cloud, indices, original, rotation, flip, jitter)
+        features[:, 6:] = (scene.normals[indices] * flip) @ rotation.T
+    return View(features, scene.valid[indices], indices, original, rotation, flip, jitter)
 
 
 def grid_mask(
-    view: PointCloud, grid_size: float, mask_ratio: float, seed: int
+    positions: np.ndarray, grid_size: float, mask_ratio: float, seed: int
 ) -> np.ndarray:
-    """Voxel-patch mask covering at least mask_ratio of the points.
+    """Voxel-patch mask over (N, 3) positions covering at least mask_ratio of them.
 
     Points are partitioned into voxels of side grid_size; whole voxels are
     selected in random order until the masked fraction first reaches the
@@ -133,12 +135,12 @@ def grid_mask(
         raise ValueError("grid_size must be positive")
     if not 0.0 <= mask_ratio <= 1.0:
         raise ValueError("mask_ratio must lie in [0, 1]")
-    n = len(view)
+    n = len(positions)
     mask = np.zeros(n, dtype=bool)
     if mask_ratio == 0.0 or n == 0:
         return mask
 
-    voxels = np.floor(view.positions / grid_size).astype(np.int64)
+    voxels = np.floor(positions / grid_size).astype(np.int64)
     voxels -= voxels.min(axis=0)
     spans = voxels.max(axis=0) + 1
     if int(spans[0]) * int(spans[1]) * int(spans[2]) < 2**62:
@@ -161,43 +163,27 @@ def grid_mask(
     return mask
 
 
-def add_noise(
-    view: PointCloud, sigma: float, dropout: float, seed: int
-) -> tuple[PointCloud, np.ndarray]:
-    """Gaussian coordinate perturbation plus uniform point dropout.
+def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
+    """Gaussian coordinate perturbation plus uniform point dropout of a view.
 
-    Returns the noisy cloud and the indices of the surviving points in the
-    input view, so callers can update their source-index records.
+    The surviving rows keep their source-index and frame records, and the
+    added perturbation is folded into the stored jitter so the original
+    frame stays recoverable.  The input view is not changed.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
     rng = make_rng(seed, _STREAM_NOISE)
-    kept = np.flatnonzero(rng.random(len(view)) >= dropout)
-    noisy = view.select(kept)
+    kept = np.flatnonzero(rng.random(len(view.features)) >= dropout)
+    features = view.features[kept]
+    jitter = view.jitter[kept]
     if sigma > 0.0:
-        positions = noisy.positions + rng.normal(0.0, sigma, size=(len(kept), 3))
-        noisy = replace(noisy, positions=positions)
-    return noisy, kept
-
-
-def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
-    """Apply add_noise to a view, updating its index and frame records.
-
-    The added perturbation is folded into the stored jitter so the original
-    frame stays recoverable.
-    """
-    noisy_cloud, kept = add_noise(view.cloud, sigma, dropout, seed)
-    extra = noisy_cloud.positions - view.cloud.positions[kept]
-    return View(
-        cloud=noisy_cloud,
-        source_indices=view.source_indices[kept],
-        original_positions=view.original_positions[kept],
-        rotation=view.rotation,
-        flip=view.flip,
-        jitter=view.jitter[kept] + extra,
-    )
+        positions = features[:, :3] + rng.normal(0.0, sigma, size=(len(kept), 3))
+        jitter += positions - features[:, :3]
+        features[:, :3] = positions
+    return View(features, view.valid[kept], view.source_indices[kept],
+                view.original_positions[kept], view.rotation, view.flip, jitter)
 
 
 def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) -> ViewSet:
@@ -221,5 +207,5 @@ def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) 
         _make_view(scene, rng.uniform(config.local_crop_min, config.local_crop_max), config, rng)
         for _ in range(config.num_local)
     )
-    mask = grid_mask(globals_[0].cloud, config.grid_size, config.mask_ratio, seed)
-    return ViewSet(globals_, locals_, mask, seed)
+    mask = grid_mask(globals_[0].features[:, :3], config.grid_size, config.mask_ratio, seed)
+    return ViewSet(globals_, locals_, mask)

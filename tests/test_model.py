@@ -400,3 +400,20 @@ class TestCheckpoint:
         np.testing.assert_allclose(
             encode(p1, cloud).values, encode(params, cloud).values, atol=1e-5
         )
+
+    @pytest.mark.parametrize("missing", [
+        "student.head.projection",
+        "student.layer1.bias",
+        "student.mask_token",
+        "teacher.mask_token",
+    ])
+    def test_model_missing_a_tensor_names_it(self, tmp_path, missing):
+        params = init_encoder(hidden=(8, 8), output_dim=4, seed=3)
+        head = init_prototype_head(4, 5, seed=3)
+        path = tmp_path / "full.ckpt"
+        save_model(path, params, head, init_teacher(params, head))
+        tensors = load_checkpoint(path)
+        del tensors[missing]
+        save_checkpoint(path, tensors)
+        with pytest.raises(ValueError, match=f"checkpoint has no tensor '{missing}'"):
+            load_model(path)

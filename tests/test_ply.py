@@ -166,3 +166,19 @@ def test_non_numeric_ascii_value_names_the_row(tmp_path):
     path.write_text("\n".join(header + ["end_header", "1 2 3", "4 five 6", ""]))
     with pytest.raises(PlyError, match="row 1: '4 five 6'"):
         read_ply(path)
+
+
+@pytest.mark.parametrize("fmt, row, count", [
+    ("ascii", b"1 2 3\n", 100000000000000),
+    ("binary_little_endian", np.array([1, 2, 3], "<f4").tobytes(), 100000000000000),
+    ("binary_little_endian", np.array([1, 2, 3], "<f4").tobytes(), 2),
+])
+def test_count_the_file_cannot_hold_is_rejected(tmp_path, fmt, row, count):
+    # One row of payload under a larger count: rejected before the rows are
+    # allocated, so the huge count raises no MemoryError.
+    path = tmp_path / "overcount.ply"
+    header = list(_HEADER)
+    header[1], header[2] = f"format {fmt} 1.0", f"element vertex {count}"
+    path.write_bytes("\n".join(header + ["end_header", ""]).encode() + row)
+    with pytest.raises(PlyError, match=f"'vertex' declares {count} rows but only {len(row)} bytes"):
+        read_ply(path)

@@ -9,6 +9,7 @@ from pointssl import (
     AssignmentMatrix,
     EmbeddingBatch,
     LogitsBatch,
+    PointCloud,
     Schedule,
     TrainConfig,
     init_train_state,
@@ -101,10 +102,6 @@ class TestEntropy:
         collapsed = np.zeros((10, 64))
         collapsed[:, 7] = 1.0
         assert prototype_usage_entropy(collapsed) == 0.0
-
-    def test_accepts_list(self):
-        parts = [np.full((5, 8), 1 / 8), np.full((3, 8), 1 / 8)]
-        assert prototype_usage_entropy(parts) == pytest.approx(np.log(8))
 
 
 class TestTrainStep:
@@ -228,10 +225,11 @@ class TestTrainStep:
 
 
 def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
-    # The losses take the step's arrays as they are; the one container pair a
-    # step builds is the pooled Sinkhorn's.
+    # The losses and views take the step's arrays as they are; the one
+    # container pair a step builds is the pooled Sinkhorn's, plus one cloud a
+    # scene for the Laplacian's kNN graph.
     built = Counter()
-    for cls in (LogitsBatch, AssignmentMatrix, EmbeddingBatch):
+    for cls in (LogitsBatch, AssignmentMatrix, EmbeddingBatch, PointCloud):
         def counting(self, _check=cls.__post_init__, _name=cls.__name__):
             built[_name] += 1
             _check(self)
@@ -240,7 +238,7 @@ def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
     state = init_train_state(_toy_config(batch_size=4))
     _, record = train_step(state, toy_scenes[:4])
     assert record.laplacian > 0.0 and record.consistency > 0.0
-    assert built == {"LogitsBatch": 1, "AssignmentMatrix": 1}
+    assert built == {"LogitsBatch": 1, "AssignmentMatrix": 1, "PointCloud": 4}
 
 
 class TestSceneThreads:
