@@ -9,8 +9,8 @@ Library surface:
 - losses: clustering_ce, laplacian_loss (pairwise and Huber-residual forms)
   and consistency_loss over plain arrays, all with analytic gradients.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
-- views: global/local crops as arrays of encoder features (View), grid
-  masking over positions, and noisy views (noise_view).
+- views: the two global and the local crops of a scene as arrays of encoder
+  features (View), grid masking over positions, and noisy views (noise_view).
 - trainer: schedules and the full training loop.
 - scenes: synthetic annotated room generator.
 - pipeline: batch alignment with per-scene reports; PCA color export.
@@ -34,14 +34,12 @@ from .geometry import (
 )
 from .losses import (
     CorrespondenceSet,
-    LossConfig,
     clustering_ce,
     consistency_loss,
     laplacian_loss,
     match_correspondences,
 )
 from .model import (
-    EmbeddingBatch,
     EncoderParams,
     PrototypeHead,
     TeacherState,
@@ -50,7 +48,6 @@ from .model import (
     init_encoder,
     init_prototype_head,
     load_model,
-    prototype_logits,
     save_model,
 )
 from .ply import read_ply, write_ply
@@ -74,14 +71,12 @@ __all__ = [
     "AssignmentMatrix",
     "CorrespondenceSet",
     "DegenerateGeometryError",
-    "EmbeddingBatch",
     "EmptyCloudError",
     "EncoderParams",
     "GeometryError",
     "GroundTruth",
     "KnnGraph",
     "LogitsBatch",
-    "LossConfig",
     "MetricsRecord",
     "Plane",
     "PointCloud",
@@ -114,7 +109,6 @@ __all__ = [
     "make_views",
     "match_correspondences",
     "noise_view",
-    "prototype_logits",
     "prototype_usage_entropy",
     "read_ply",
     "run_training",

@@ -40,7 +40,7 @@ def _cmd_align(args) -> int:
         overrides["seed"] = args.seed
     try:
         config = PipelineConfig.from_dict(overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         logger.error("bad pipeline config: %s", exc)
         return 1
 
@@ -133,7 +133,7 @@ def _cmd_train_toy(args) -> int:
         overrides["seed"] = args.seed
     try:
         config = TrainConfig.from_dict(overrides)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         logger.error("bad train config: %s", exc)
         return 1
 
@@ -205,8 +205,7 @@ def _cmd_export_pca(args) -> int:
 
     params, _, _ = load_model(args.checkpoint)
     cloud, _ = read_ply(args.scene)
-    embeddings = encode(params, cloud)
-    export_pca(embeddings.values, cloud, args.out)
+    export_pca(encode(params, cloud), cloud, args.out)
     print(f"wrote {args.out}")
     return 0
 

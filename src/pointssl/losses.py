@@ -48,20 +48,6 @@ class CorrespondenceSet:
         return len(self.student_indices)
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Shape of the Laplacian term; TrainConfig holds the weights of all terms."""
-
-    huber_delta: float = 0.5
-    laplacian_form: str = HUBER_RESIDUAL
-
-    def __post_init__(self):
-        if not self.huber_delta > 0.0:
-            raise ValueError("huber_delta must be positive")
-        if self.laplacian_form not in (PAIRWISE, HUBER_RESIDUAL):
-            raise ValueError(f"unknown laplacian_form {self.laplacian_form!r}")
-
-
 def clustering_ce(q, logits, temperature: float | None = None) -> tuple[float, np.ndarray]:
     """Cross-entropy of student softmax against fixed teacher assignments.
 
@@ -152,7 +138,8 @@ def _laplacian_huber_residual(
 
 
 def laplacian_loss(
-    values: np.ndarray, graph: KnnGraph, config: LossConfig
+    values: np.ndarray, graph: KnnGraph, form: str = HUBER_RESIDUAL,
+    huber_delta: float = 0.5,
 ) -> tuple[float, np.ndarray]:
     """Graph smoothness penalty on N x D embeddings, in one of two forms.
 
@@ -162,15 +149,19 @@ def laplacian_loss(
 
     An empty edge set yields loss 0 (with a warning) and zero gradient.
     """
+    if form not in (PAIRWISE, HUBER_RESIDUAL):
+        raise ValueError(f"unknown laplacian_form {form!r}")
+    if not huber_delta > 0.0:
+        raise ValueError("huber_delta must be positive")
     values = np.asarray(values, dtype=np.float64)
     if graph.num_nodes != len(values):
         raise ValueError(f"graph has {graph.num_nodes} nodes but batch has {len(values)} embeddings")
     if graph.num_edges == 0:
         warnings.warn("Laplacian loss on an empty edge set is 0", stacklevel=2)
         return 0.0, np.zeros_like(values)
-    if config.laplacian_form == PAIRWISE:
+    if form == PAIRWISE:
         return _laplacian_pairwise(values, graph)
-    return _laplacian_huber_residual(values, graph, config.huber_delta)
+    return _laplacian_huber_residual(values, graph, huber_delta)
 
 
 def consistency_loss(

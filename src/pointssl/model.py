@@ -16,33 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import frozen_array
 from .geometry import PointCloud
 from .rng import make_rng
-from .sinkhorn import LogitsBatch
 
 CHECKPOINT_MAGIC = b"LAM3C1"
 NORM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """Per-point embeddings alongside the coordinates they are attached to."""
-
-    values: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        v = frozen_array(self.values, np.float64)
-        p = frozen_array(self.positions, np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"embeddings must be 2-D, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("embeddings must be finite")
-        if p.shape != (len(v), 3):
-            raise ValueError("positions must be (N, 3) matching the embedding count")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "positions", p)
 
 
 @dataclass
@@ -143,22 +121,17 @@ def init_teacher(params: EncoderParams, head: PrototypeHead, momentum: float = 0
     return TeacherState(params.copy(), head.copy(), momentum)
 
 
-def point_features(cloud: PointCloud) -> np.ndarray:
-    """9-D per-point features: coordinates, colors, normals.
-
-    Missing colors or normals are zero-filled with a warning.
-    """
-    n = len(cloud)
-    cols = cloud.colors
-    nrms = cloud.normals
-    missing = [name for name, arr in (("colors", cols), ("normals", nrms)) if arr is None]
-    if missing:
-        warnings.warn(f"substituting zeros for missing {' and '.join(missing)}", stacklevel=2)
-    if cols is None:
-        cols = np.zeros((n, 3))
-    if nrms is None:
-        nrms = np.zeros((n, 3))
-    return np.concatenate([cloud.positions, cols, nrms], axis=1)
+def point_features(
+    positions: np.ndarray, colors: np.ndarray | None, normals: np.ndarray | None
+) -> np.ndarray:
+    """The encoder's (N, 9) rows: xyz, rgb, normal, with zeros for None colors or normals."""
+    features = np.zeros((len(positions), 9))
+    features[:, :3] = positions
+    if colors is not None:
+        features[:, 3:6] = colors
+    if normals is not None:
+        features[:, 6:] = normals
+    return features
 
 
 @dataclass
@@ -221,11 +194,17 @@ def encode_features(
 
 def encode(
     params: EncoderParams, cloud: PointCloud, mask: np.ndarray | None = None
-) -> EmbeddingBatch:
-    """Per-point embeddings for a cloud; deterministic, unit-norm rows."""
+) -> np.ndarray:
+    """(N, D) embeddings of a cloud; deterministic, unit-norm rows.
+
+    Missing colors or normals are zero-filled with a warning.
+    """
     params.check_finite()
-    cache = encode_features(params, point_features(cloud), mask)
-    return EmbeddingBatch(values=cache.embeddings, positions=cloud.positions)
+    missing = [name for name in ("colors", "normals") if getattr(cloud, name) is None]
+    if missing:
+        warnings.warn(f"substituting zeros for missing {' and '.join(missing)}", stacklevel=2)
+    features = point_features(cloud.positions, cloud.colors, cloud.normals)
+    return encode_features(params, features, mask).embeddings
 
 
 def encode_backward(
@@ -258,18 +237,6 @@ def encode_backward(
     if masked:
         grads.mask_token = upstream[cache.mask].sum(axis=0)
     return grads
-
-
-def prototype_logits(
-    head: PrototypeHead, embeddings: EmbeddingBatch, temperature: float = 1.0
-) -> LogitsBatch:
-    """Cosine-similarity logits: embeddings @ projection."""
-    if embeddings.values.shape[1] != head.projection.shape[0]:
-        raise ValueError(
-            f"embedding dim {embeddings.values.shape[1]} does not match "
-            f"head input dim {head.projection.shape[0]}"
-        )
-    return LogitsBatch(embeddings.values @ head.projection, temperature)
 
 
 def prototype_logits_backward(

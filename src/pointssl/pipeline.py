@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._config import check_fields, within
 from .geometry import (
     PointCloud,
     RigidSimilarity,
@@ -45,16 +46,26 @@ class PipelineConfig:
     """Alignment stage parameters."""
 
     downsample_points: int = 20000
-    sor_k: int = 16
-    sor_std_mult: float = 2.0
-    ransac_iterations: int = 512
-    ransac_threshold_fraction: float = 0.02  # of the scene diagonal
-    ransac_threshold_cap: float = 0.05       # meters
-    min_inlier_ratio: float = 0.15
-    normals_k: int = 16
-    scale_median: float = 8.0                # meters, median of the target-scale draw
-    scale_log_std: float = 0.25
-    seed: int = 0
+    sor_k: int = within(16, "[1, inf)")
+    sor_std_mult: float = within(2.0, "(0, inf)")
+    ransac_iterations: int = within(512, "[1, inf)")
+    ransac_threshold_fraction: float = within(0.02, "(0, inf)")  # of the scene diagonal
+    ransac_threshold_cap: float = within(0.05, "(0, inf)")       # meters
+    min_inlier_ratio: float = within(0.15, "[0, 1]")
+    normals_k: int = within(16, "[1, inf)")
+    scale_median: float = within(8.0, "[1e-6, 1e6]")  # meters, median of the target-scale draw
+    scale_log_std: float = within(0.25, "[0, 10]")    # both bounded: the draw stays finite, > 0
+    seed: int = within(0, "[0, inf)")
+
+    def __post_init__(self):
+        check_fields(self)
+        # SOR removes at most n / (1 + std_mult^2) of n points (Cantelli's
+        # inequality); the rest must hold the plane's 3 points and normals_k + 1.
+        inverse = 1.0 / self.sor_std_mult
+        if not self.downsample_points / (1.0 + inverse * inverse) > max(self.normals_k, 2):
+            raise ValueError(f"downsample_points {self.downsample_points} may leave normals_k "
+                             f"{self.normals_k} or fewer points after SOR at sor_std_mult "
+                             f"{self.sor_std_mult}")
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
@@ -116,7 +127,8 @@ def _angle_to_z_degrees(normal: np.ndarray) -> float:
 def draw_target_scale(config: PipelineConfig, scene_seed: int) -> float:
     """Log-normal target diagonal with the configured median and log-std."""
     rng = make_rng(config.seed, _STREAM_SCALE, scene_seed)
-    return float(np.exp(rng.normal(np.log(config.scale_median), config.scale_log_std)))
+    # abs: numpy rejects a log-std of -0.0, which lies in the config's [0, 10].
+    return float(np.exp(rng.normal(np.log(config.scale_median), abs(config.scale_log_std))))
 
 
 def align_scene(

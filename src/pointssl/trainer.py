@@ -22,9 +22,11 @@ from functools import partial
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._config import check_fields, within
 from .geometry import PointCloud, _usable_cpus, build_knn_graph
 from .losses import (
-    LossConfig,
+    HUBER_RESIDUAL,
+    PAIRWISE,
     clustering_ce,
     consistency_loss,
     laplacian_loss,
@@ -46,7 +48,7 @@ from .model import (
 )
 from .rng import make_rng
 from .sinkhorn import LogitsBatch, sinkhorn_normalize
-from .views import View, ViewConfig, ViewSet, make_views, noise_view
+from .views import MIN_SCENE_POINTS, View, ViewConfig, ViewSet, make_views, noise_view
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ def _schedule_from(spec, total_steps: int, default_kind="linear") -> Schedule:
         return spec
     if isinstance(spec, (int, float)):
         return Schedule("constant", float(spec), float(spec), total_steps)
+    if not (isinstance(spec, dict) and {"start", "end"} <= spec.keys() <= {"kind", "start", "end"}):
+        raise TypeError(f"a schedule is a number or a dict of start, end and kind, got {spec!r}")
     return Schedule(
         spec.get("kind", default_kind), float(spec["start"]), float(spec["end"]), total_steps
     )
@@ -101,38 +105,38 @@ class TrainConfig:
     weight decay 0.04 -> 0.10; desk-scale widths keep the run fast.
     """
 
-    total_steps: int = 2000
-    batch_size: int = 4
-    seed: int = 0
+    total_steps: int = within(2000, "[1, inf)")
+    batch_size: int = within(4, "[1, inf)")
+    seed: int = within(0, "[0, inf)")
 
-    num_prototypes: int = 64
-    embed_dim: int = 32
-    hidden: tuple[int, ...] = (64, 64)
+    num_prototypes: int = within(64, "[2, inf)")
+    embed_dim: int = within(32, "[1, inf)")
+    hidden: tuple[int, ...] = within((64, 64), "[1, inf)")
 
-    student_temperature: float = 0.1
-    teacher_temperature: Schedule | dict | float = field(
-        default_factory=lambda: {"kind": "linear", "start": 0.04, "end": 0.07}
+    student_temperature: float = within(0.1, "[1e-6, inf)")  # ~1e-300 overflows the loss
+    teacher_temperature: Schedule | dict | float = within(
+        lambda: {"kind": "linear", "start": 0.04, "end": 0.07}, "(0, inf)"
     )
-    laplacian_schedule: Schedule | dict | float = field(
-        default_factory=lambda: {"kind": "linear", "start": 2e-4, "end": 3e-3}
+    laplacian_schedule: Schedule | dict | float = within(
+        lambda: {"kind": "linear", "start": 2e-4, "end": 3e-3}, "[0, inf)"
     )
-    ema_momentum: Schedule | dict | float = field(
-        default_factory=lambda: {"kind": "cosine", "start": 0.994, "end": 1.0}
+    ema_momentum: Schedule | dict | float = within(
+        lambda: {"kind": "cosine", "start": 0.994, "end": 1.0}, "[0, 1]"
     )
     weight_decay: Schedule | dict | float = field(
         default_factory=lambda: {"kind": "linear", "start": 0.04, "end": 0.10}
     )
 
-    unmask_weight: float = 4.0
-    mask_weight: float = 2.0
-    roll_weight: float = 2.0
-    consistency_weight: float = 0.05
-    huber_delta: float = 0.5
-    laplacian_form: str = "huber_residual"
-    laplacian_knn: int = 24
-    laplacian_max_radius: float = 0.08
+    unmask_weight: float = within(4.0, "[0, inf)")
+    mask_weight: float = within(2.0, "[0, inf)")
+    roll_weight: float = within(2.0, "[0, inf)")
+    consistency_weight: float = within(0.05, "[0, inf)")
+    huber_delta: float = within(0.5, "(0, inf)")
+    laplacian_form: str = HUBER_RESIDUAL
+    laplacian_knn: int = within(24, "[1, inf)")
+    laplacian_max_radius: float = within(0.08, "(0, inf)")
     correspondence_cutoff: float = 0.05
-    sinkhorn_iterations: int = 3
+    sinkhorn_iterations: int = within(3, "[1, inf)")
 
     base_lr: float = 1e-3
     final_lr: float = 1e-5
@@ -144,24 +148,15 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("teacher_temperature", "laplacian_schedule", "ema_momentum", "weight_decay"):
             object.__setattr__(self, name, _schedule_from(getattr(self, name), self.total_steps))
-        if isinstance(self.views, dict):
+        if not isinstance(self.views, ViewConfig):
             object.__setattr__(self, "views", ViewConfig(**self.views))
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        LossConfig(huber_delta=self.huber_delta, laplacian_form=self.laplacian_form)
-        weights = (self.unmask_weight, self.mask_weight, self.roll_weight,
-                   self.laplacian_schedule.end, self.consistency_weight)
-        for name, value, least in (("batch_size", self.batch_size, 1),
-                                   ("num_prototypes", self.num_prototypes, 2),
-                                   ("embed_dim", self.embed_dim, 1),
-                                   ("every hidden width", min(self.hidden, default=1), 1),
-                                   ("laplacian_knn", self.laplacian_knn, 1),
-                                   ("sinkhorn_iterations", self.sinkhorn_iterations, 1),
-                                   ("max_scene_points", self.max_scene_points or 0, 0),
-                                   ("every loss weight", min(weights), 0.0)):
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not self.student_temperature > 0.0:
-            raise ValueError(f"student_temperature must be positive, got {self.student_temperature}")
+        check_fields(self)
+        if self.laplacian_form not in (PAIRWISE, HUBER_RESIDUAL):
+            raise ValueError(f"unknown laplacian_form {self.laplacian_form!r}")
+        if not (self.max_scene_points or MIN_SCENE_POINTS) >= MIN_SCENE_POINTS:
+            raise ValueError(f"max_scene_points must be None, 0 or at least {MIN_SCENE_POINTS}, "
+                             f"got {self.max_scene_points}")
 
     def lr_at(self, step: int) -> float:
         warmup = max(1, int(round(self.warmup_fraction * self.total_steps)))
@@ -487,8 +482,9 @@ def _laplacian_objective(
     graph = build_knn_graph(cloud, config.laplacian_knn, config.laplacian_max_radius)
     if not graph.num_edges:
         return None, None
-    loss_cfg = LossConfig(huber_delta=config.huber_delta, laplacian_form=config.laplacian_form)
-    value, grad = laplacian_loss(cache_g1.embeddings, graph, loss_cfg)
+    value, grad = laplacian_loss(
+        cache_g1.embeddings, graph, config.laplacian_form, config.huber_delta
+    )
     return value, encode_backward(state.params, cache_g1, lam * grad)
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_fields, within
 from .geometry import PointCloud
+from .model import point_features
 from .rng import make_rng
 
 _STREAM_CROP = 1
@@ -26,29 +28,35 @@ MIN_SCENE_POINTS = 256
 
 @dataclass(frozen=True)
 class ViewConfig:
-    """Crop fractions, jitter magnitudes, and masking geometry."""
+    """Crop fractions, jitter magnitudes, and masking geometry, checked at construction."""
 
-    num_global: int = 2
-    num_local: int = 4
-    global_crop_min: float = 0.4
-    global_crop_max: float = 1.0
-    local_crop_min: float = 0.10
-    local_crop_max: float = 0.25
-    jitter_sigma: float = 0.005
-    color_jitter: float = 0.05
-    grid_size: float = 0.1
-    mask_ratio: float = 0.3
-    noise_sigma: float = 0.01
-    noise_dropout: float = 0.1
+    num_local: int = within(4, "[0, inf)")
+    # A global crop keeps 2 points of the smallest scene, for the Laplacian's kNN graph.
+    global_crop_min: float = within(0.4, f"[{1.5 / MIN_SCENE_POINTS}, 1]")
+    global_crop_max: float = within(1.0, "(0, 1]")
+    local_crop_min: float = within(0.10, "(0, 1]")
+    local_crop_max: float = within(0.25, "(0, 1]")
+    jitter_sigma: float = within(0.005, "[0, inf)")
+    color_jitter: float = within(0.05, "[0, inf)")
+    grid_size: float = within(0.1, "(0, inf)")
+    mask_ratio: float = within(0.3, "[0, 1]")
+    noise_sigma: float = within(0.01, "[0, inf)")
+    noise_dropout: float = within(0.1, "[0, 1)")
+
+    def __post_init__(self):
+        check_fields(self)
+        if not (self.global_crop_min <= self.global_crop_max
+                and self.local_crop_min <= self.local_crop_max):
+            raise ValueError("a crop's min fraction must not exceed its max")
 
 
 @dataclass(frozen=True)
 class View:
     """One augmented crop: the rows its encoder reads, plus the bookkeeping to undo it.
 
-    features is (N, 9): augmented xyz, jittered rgb and rotated normals, with
-    zero columns where the scene has no colors or normals (as
-    model.point_features builds them); valid holds the scene's mask rows.
+    features is (N, 9), built by model.point_features: augmented xyz,
+    jittered rgb and rotated normals, with zero columns where the scene has no
+    colors or normals; valid holds the scene's mask rows.
     source_indices map every view point back into the scene;
     original_positions are the scene-frame coordinates.  The applied
     transform is p_view = rotation @ (flip * p_orig) + jitter, with the drawn
@@ -76,7 +84,7 @@ class View:
 
 @dataclass(frozen=True)
 class ViewSet:
-    global_views: tuple[View, ...]
+    global_views: tuple[View, View]
     local_views: tuple[View, ...]
     mask: np.ndarray  # on global_views[0], the masked student view
 
@@ -110,15 +118,11 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
         if config.jitter_sigma > 0.0
         else np.zeros_like(original)
     )
-    features = np.zeros((len(indices), 9))
-    features[:, :3] = (original * flip) @ rotation.T + jitter
-    if scene.colors is not None:
-        colors = scene.colors[indices]
-        if config.color_jitter > 0.0:
-            colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
-        features[:, 3:6] = colors
-    if scene.normals is not None:
-        features[:, 6:] = (scene.normals[indices] * flip) @ rotation.T
+    colors = None if scene.colors is None else scene.colors[indices]
+    if colors is not None and config.color_jitter > 0.0:
+        colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
+    normals = None if scene.normals is None else (scene.normals[indices] * flip) @ rotation.T
+    features = point_features((original * flip) @ rotation.T + jitter, colors, normals)
     return View(features, scene.valid[indices], indices, original, rotation, flip, jitter)
 
 
@@ -136,9 +140,8 @@ def grid_mask(
     if not 0.0 <= mask_ratio <= 1.0:
         raise ValueError("mask_ratio must lie in [0, 1]")
     n = len(positions)
-    mask = np.zeros(n, dtype=bool)
     if mask_ratio == 0.0 or n == 0:
-        return mask
+        return np.zeros(n, dtype=bool)
 
     voxels = np.floor(positions / grid_size).astype(np.int64)
     voxels -= voxels.min(axis=0)
@@ -151,16 +154,11 @@ def grid_mask(
             voxels, axis=0, return_inverse=True, return_counts=True
         )
     order = make_rng(seed, _STREAM_MASK).permutation(len(counts))
-    needed = mask_ratio * n
-    covered = 0
+    # The voxels in order up to the first whose running count reaches the ratio.
+    taken = np.searchsorted(np.cumsum(counts[order]), mask_ratio * n) + 1
     chosen = np.zeros(len(counts), dtype=bool)
-    for voxel in order:
-        if covered >= needed:
-            break
-        chosen[voxel] = True
-        covered += counts[voxel]
-    mask[chosen[voxel_of_point]] = True
-    return mask
+    chosen[order[:taken]] = True
+    return chosen[voxel_of_point]
 
 
 def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
@@ -201,7 +199,7 @@ def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) 
     rng = make_rng(seed, _STREAM_CROP)
     globals_ = tuple(
         _make_view(scene, rng.uniform(config.global_crop_min, config.global_crop_max), config, rng)
-        for _ in range(config.num_global)
+        for _ in range(2)
     )
     locals_ = tuple(
         _make_view(scene, rng.uniform(config.local_crop_min, config.local_crop_max), config, rng)

@@ -13,7 +13,6 @@ import pytest
 
 from pointssl import (
     LogitsBatch,
-    LossConfig,
     SceneSpec,
     TrainConfig,
     aabb_diagonal,
@@ -273,14 +272,12 @@ def test_criterion_6_noncollapse_training(training_runs):
 
 def test_criterion_7_regularizer_effect(training_runs):
     held_out = [toy_room(seed=500 + i) for i in range(8)]
-    pairwise = LossConfig(laplacian_form="pairwise")
-
     def scene_energies(params):
         energies = []
         for scene in held_out:
             graph = build_knn_graph(scene, k=24, max_radius=0.08)
             emb = encode(params, scene)
-            value, _ = laplacian_loss(emb.values, graph, pairwise)
+            value, _ = laplacian_loss(emb, graph, "pairwise")
             energies.append(value)
         return np.array(energies)
 
@@ -340,5 +337,5 @@ def test_criterion_9_io_roundtrips(tmp_path):
     save_model(tmp_path / "m2.ckpt", p1, h1)
     p2, _, _ = load_model(tmp_path / "m2.ckpt")
     assert (tmp_path / "m1.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
-    np.testing.assert_array_equal(encode(p1, scene).values, encode(p2, scene).values)
+    np.testing.assert_array_equal(encode(p1, scene), encode(p2, scene))
     _report(9, "20 PLY round trips byte-identical; checkpoint embeddings bitwise")

@@ -5,7 +5,6 @@ from pointssl import (
     CorrespondenceSet,
     KnnGraph,
     LogitsBatch,
-    LossConfig,
     build_knn_graph,
     clustering_ce,
     consistency_loss,
@@ -84,7 +83,7 @@ class TestLaplacian:
         positions = rng.uniform(0, 1, (20, 3))
         graph = build_knn_graph(make_cloud(positions), k=4, max_radius=2.0)
         values = np.tile(rng.normal(0, 1, (1, 6)), (20, 1))
-        loss, grad = laplacian_loss(values, graph, LossConfig(laplacian_form=form))
+        loss, grad = laplacian_loss(values, graph, form)
         # residuals only vanish to rounding: the weighted neighbor mean of
         # identical vectors reconstructs them to ~1e-16 per entry
         assert abs(loss) < 1e-28
@@ -94,7 +93,7 @@ class TestLaplacian:
         # both directed edges carry weight exp(-1); squared difference is 1
         graph = self._two_point_graph()
         values = np.array([[0.0], [1.0]])
-        loss, _ = laplacian_loss(values, graph, LossConfig(laplacian_form="pairwise"))
+        loss, _ = laplacian_loss(values, graph, "pairwise")
         assert loss == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     @pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
@@ -102,11 +101,10 @@ class TestLaplacian:
         rng = np.random.default_rng(2)
         positions = rng.uniform(0, 1, (20, 3))
         graph = build_knn_graph(make_cloud(positions), k=4, max_radius=2.0)
-        config = LossConfig(laplacian_form=form, huber_delta=0.9)
         for _ in range(5):
             values = rng.normal(0, 1, (20, 8))
-            _, grad = laplacian_loss(values, graph, config)
-            numeric = finite_difference(lambda x: laplacian_loss(x, graph, config)[0], values)
+            _, grad = laplacian_loss(values, graph, form, 0.9)
+            numeric = finite_difference(lambda x: laplacian_loss(x, graph, form, 0.9)[0], values)
             assert relative_error(grad, numeric) < 1e-4
 
     def test_huber_regimes(self):
@@ -115,12 +113,11 @@ class TestLaplacian:
         graph = build_knn_graph(make_cloud(positions), k=2, max_radius=1.0)
         small = np.array([[0.0], [0.01], [0.0]])
         large = np.array([[0.0], [5.0], [0.0]])
-        config = LossConfig(laplacian_form="huber_residual", huber_delta=0.5)
-        loss_small, _ = laplacian_loss(small, graph, config)
-        loss_large, _ = laplacian_loss(large, graph, config)
+        loss_small, _ = laplacian_loss(small, graph, "huber_residual", 0.5)
+        loss_large, _ = laplacian_loss(large, graph, "huber_residual", 0.5)
         assert loss_small < loss_large
         # in the linear regime the loss grows linearly, not quadratically
-        loss_10x, _ = laplacian_loss(large * 2, graph, config)
+        loss_10x, _ = laplacian_loss(large * 2, graph, "huber_residual", 0.5)
         assert loss_10x < 4 * loss_large
 
     def test_pairwise_rigid_invariance(self):
@@ -131,11 +128,10 @@ class TestLaplacian:
         rot = np.array([[np.cos(angle), -np.sin(angle), 0],
                         [np.sin(angle), np.cos(angle), 0], [0, 0, 1]])
         moved = positions @ rot.T + np.array([5.0, -2.0, 1.0])
-        config = LossConfig(laplacian_form="pairwise")
         g1 = build_knn_graph(make_cloud(positions), k=5, max_radius=2.0, sigma=0.3)
         g2 = build_knn_graph(make_cloud(moved), k=5, max_radius=2.0, sigma=0.3)
-        l1, _ = laplacian_loss(values, g1, config)
-        l2, _ = laplacian_loss(values, g2, config)
+        l1, _ = laplacian_loss(values, g1, "pairwise")
+        l2, _ = laplacian_loss(values, g2, "pairwise")
         assert abs(l1 - l2) < 1e-9
 
     @pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
@@ -145,7 +141,7 @@ class TestLaplacian:
         graph = build_knn_graph(make_cloud(positions), k=3, max_radius=2.0)
         for _ in range(10):
             values = rng.normal(0, 2, (25, 5))
-            loss, _ = laplacian_loss(values, graph, LossConfig(laplacian_form=form))
+            loss, _ = laplacian_loss(values, graph, form)
             assert loss >= 0.0
 
     def test_empty_edges_warn(self):
@@ -153,7 +149,7 @@ class TestLaplacian:
         graph = build_knn_graph(cloud, k=1, max_radius=0.5)
         assert graph.num_edges == 0
         with pytest.warns(UserWarning, match="empty edge set"):
-            loss, grad = laplacian_loss(np.ones((2, 3)), graph, LossConfig())
+            loss, grad = laplacian_loss(np.ones((2, 3)), graph)
         assert loss == 0.0 and not grad.any()
 
 
@@ -264,9 +260,7 @@ def test_laplacian_bit_identical_to_add_at(form):
         values = rng.normal(0, 1, (n, int(rng.integers(1, 33))))
         delta = float(rng.choice([0.05, 0.5, 5.0]))
         rng.uniform(0, 1, (n, 3))  # discarded; holds later trials in place
-        loss, grad = laplacian_loss(
-            values, graph, LossConfig(laplacian_form=form, huber_delta=delta)
-        )
+        loss, grad = laplacian_loss(values, graph, form, delta)
         ref_loss, ref_grad = _add_at_laplacian(values, graph, form, delta)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointssl import (
-    EmbeddingBatch,
     EncoderParams,
     PointCloud,
     PrototypeHead,
@@ -17,7 +16,6 @@ from pointssl import (
     init_encoder,
     init_prototype_head,
     load_model,
-    prototype_logits,
     save_model,
 )
 from pointssl.gradcheck import _check_encoder, finite_difference, relative_error
@@ -69,7 +67,7 @@ class TestEncode:
         )
         cloud = _featured_cloud(np.random.default_rng(0), n=10)
         out = encode(params, cloud)
-        np.testing.assert_array_equal(out.values, np.tile([1.0, 0.0, 0.0], (10, 1)))
+        np.testing.assert_array_equal(out, np.tile([1.0, 0.0, 0.0], (10, 1)))
 
     def test_distinct_inputs_distinct_embeddings(self):
         params = init_encoder(9, (16,), 8, seed=1)
@@ -77,13 +75,13 @@ class TestEncode:
         out = encode(params, cloud)
         for i in range(5):
             for j in range(i + 1, 5):
-                assert not np.allclose(out.values[i], out.values[j])
+                assert not np.allclose(out[i], out[j])
 
     def test_unit_norm_rows(self):
         params = init_encoder(seed=2)
         cloud = _featured_cloud(np.random.default_rng(2), n=50)
         out = encode(params, cloud)
-        np.testing.assert_allclose(np.linalg.norm(out.values, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_permutation_equivariance(self):
         params = init_encoder(seed=3)
@@ -97,14 +95,14 @@ class TestEncode:
         )
         a = encode(params, cloud)
         b = encode(params, permuted)
-        np.testing.assert_array_equal(a.values[perm], b.values)
+        np.testing.assert_array_equal(a[perm], b)
 
     def test_missing_features_warn(self):
         params = init_encoder(seed=4)
         cloud = PointCloud(positions=np.random.default_rng(4).uniform(0, 1, (12, 3)))
         with pytest.warns(UserWarning, match="substituting zeros"):
             out = encode(params, cloud)
-        assert out.values.shape == (12, 32)
+        assert out.shape == (12, 32)
 
     def test_nan_parameters_rejected(self):
         params = init_encoder(seed=5)
@@ -188,26 +186,6 @@ def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
 
 
 class TestPrototypeHead:
-    def test_logit_of_matching_prototype_is_one(self):
-        head = init_prototype_head(embed_dim=8, num_prototypes=16, seed=0)
-        emb = head.projection[:, 5][None, :]
-        logits = prototype_logits(
-            head, EmbeddingBatch(emb, np.zeros((1, 3))), temperature=1.0
-        )
-        assert logits.values[0, 5] == pytest.approx(1.0, abs=1e-9)
-        assert logits.values[0].argmax() == 5
-
-    def test_orthogonal_embedding_zero_logit(self):
-        head = PrototypeHead(np.eye(4))
-        emb = np.array([[0.0, 1.0, 0.0, 0.0]])
-        logits = prototype_logits(head, EmbeddingBatch(emb, np.zeros((1, 3))))
-        assert logits.values[0, 0] == 0.0
-
-    def test_dimension_mismatch(self):
-        head = init_prototype_head(embed_dim=8, num_prototypes=4, seed=1)
-        with pytest.raises(ValueError, match="does not match"):
-            prototype_logits(head, EmbeddingBatch(np.zeros((2, 5)), np.zeros((2, 3))))
-
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         head = init_prototype_head(embed_dim=6, num_prototypes=9, seed=2)
@@ -395,10 +373,10 @@ class TestCheckpoint:
 
         cloud = _featured_cloud(np.random.default_rng(12), n=64)
         p2, h2, _ = load_model(second)
-        np.testing.assert_array_equal(encode(p1, cloud).values, encode(p2, cloud).values)
+        np.testing.assert_array_equal(encode(p1, cloud), encode(p2, cloud))
         # float32 storage stays close to the original float64 model
         np.testing.assert_allclose(
-            encode(p1, cloud).values, encode(params, cloud).values, atol=1e-5
+            encode(p1, cloud), encode(params, cloud), atol=1e-5
         )
 
     @pytest.mark.parametrize("missing", [

@@ -174,6 +174,28 @@ class TestCliCommands:
             "--strict", "--seed", "0",
         ]) == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("sor_k", 0),
+        ("normals_k", 0),
+        ("downsample_points", -5),
+        ("ransac_iterations", 0),
+        ("min_inlier_ratio", 2.0),
+        ("min_inlier_ratio", -0.1),
+        ("sor_k", 2.5),
+    ])
+    def test_align_rejects_malformed_config(self, tmp_path, caplog, name, value):
+        scenes = tmp_path / "s"
+        scenes.mkdir()
+        write_ply(scenes / "good.ply", toy_room(seed=30))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        out = tmp_path / "o"
+        assert main([
+            "align", "--input", str(scenes), "--output", str(out), "--config", str(config),
+        ]) == 1
+        assert "bad pipeline config" in caplog.text
+        assert not out.exists()
+
     def test_strict_requires_seed(self, tmp_path):
         assert main([
             "align", "--input", str(tmp_path), "--output", str(tmp_path / "o"), "--strict",
@@ -230,6 +252,10 @@ class TestCliCommands:
         ("student_temperature", 0.0),
         ("student_temperature", -0.1),
         ("max_scene_points", -5),
+        ("views", {"num_global": 3}),
+        ("views", {"mask_ratio": 1.5}),
+        ("views", {"grid_size": 0}),
+        ("views", {"noise_dropout": 1.0}),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

@@ -7,7 +7,6 @@ import pytest
 
 from pointssl import (
     AssignmentMatrix,
-    EmbeddingBatch,
     LogitsBatch,
     PointCloud,
     Schedule,
@@ -229,7 +228,7 @@ def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
     # container pair a step builds is the pooled Sinkhorn's, plus one cloud a
     # scene for the Laplacian's kNN graph.
     built = Counter()
-    for cls in (LogitsBatch, AssignmentMatrix, EmbeddingBatch, PointCloud):
+    for cls in (LogitsBatch, AssignmentMatrix, PointCloud):
         def counting(self, _check=cls.__post_init__, _name=cls.__name__):
             built[_name] += 1
             _check(self)

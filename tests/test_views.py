@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pointssl import PointCloud, ViewConfig, grid_mask, make_views, noise_view
+from pointssl.rng import make_rng
+from pointssl.views import _STREAM_MASK
 
 from conftest import toy_room
 
@@ -14,6 +16,22 @@ def brute_force_voxel_partition(positions, grid_size):
     for i, v in enumerate(map(tuple, voxels)):
         groups.setdefault(v, []).append(i)
     return groups
+
+
+def loop_grid_mask(positions, grid_size, mask_ratio, seed):
+    """Reference grid_mask: whole voxels, in the seeded order, one at a time
+    until the masked count first reaches mask_ratio of the points."""
+    voxels = np.floor(positions / grid_size).astype(np.int64)
+    _, voxel_of_point, counts = np.unique(voxels, axis=0, return_inverse=True, return_counts=True)
+    order = make_rng(seed, _STREAM_MASK).permutation(len(counts))
+    needed, covered = mask_ratio * len(positions), 0
+    chosen = np.zeros(len(counts), dtype=bool)
+    for voxel in order:
+        if covered >= needed:
+            break
+        chosen[voxel] = True
+        covered += counts[voxel]
+    return chosen[voxel_of_point.ravel()]
 
 
 def full_view(cloud):
@@ -140,6 +158,16 @@ class TestGridMask:
         for indices in brute_force_voxel_partition(cloud.positions, 0.2).values():
             states = mask[indices]
             assert states.all() or not states.any()
+
+    def test_equals_the_voxel_loop(self):
+        for seed in range(40):
+            positions = toy_room(seed=seed).positions
+            for ratio in (0.05, 0.3, 0.5, 1.0):
+                for size in (0.05, 0.1, 0.3):
+                    assert np.array_equal(
+                        grid_mask(positions, size, ratio, seed),
+                        loop_grid_mask(positions, size, ratio, seed),
+                    ), (seed, ratio, size)
 
     def test_deterministic(self):
         scene = toy_room(seed=7)
