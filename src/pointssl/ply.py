@@ -64,6 +64,8 @@ def _parse_header(stream) -> tuple[str, list[tuple[str, int, list[tuple[str, str
         elif fields[0] == "property":
             if not elements:
                 raise PlyError("property before any element")
+            if fields[-1] in (name for name, _ in elements[-1][2]):
+                raise PlyError(f"header line {line!r} repeats a property of {elements[-1][0]!r}")
             if fields[1:2] == ["list"] and len(fields) == 5:
                 elements[-1][2].append((fields[-1], "list"))
             elif len(fields) == 3 and fields[1] in _PLY_TO_NUMPY:
@@ -86,6 +88,13 @@ def _read_element_ascii(stream, count: int, props: list[tuple[str, str]]) -> dic
             rows[i] = [float(x) for x in parts[: len(props)]]
         except ValueError:
             raise PlyError(f"non-numeric value in ASCII element row {i}: {line.strip()!r}") from None
+    for j, (name, t) in enumerate(props):
+        dtype = np.dtype(_PLY_TO_NUMPY[t])
+        if dtype.kind in "iu":  # a cast would wrap or truncate the value silently
+            col, info = rows[:, j], np.iinfo(dtype)
+            bad = ~((col == np.floor(col)) & (col >= info.min) & (col <= info.max))
+            if bad.any():
+                raise PlyError(f"ASCII element row {int(np.argmax(bad))}: {name!r} is not a {t}")
     return {name: rows[:, j].astype(_PLY_TO_NUMPY[t]) for j, (name, t) in enumerate(props)}
 
 
@@ -148,7 +157,10 @@ def read_ply(path: str | Path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     if all(name in columns for name in _NORMAL_NAMES):
         normals = np.column_stack([columns.pop(name) for name in _NORMAL_NAMES]).astype(np.float64)
 
-    cloud = PointCloud(positions=positions, colors=colors, normals=normals)
+    try:
+        cloud = PointCloud(positions=positions, colors=colors, normals=normals)
+    except ValueError as exc:  # NaN coordinates, colours outside [0, 255], normals off unit length
+        raise PlyError(f"vertex values out of range: {exc}") from None
     return cloud, columns
 
 

@@ -138,9 +138,9 @@ class TrainConfig:
     correspondence_cutoff: float = 0.05
     sinkhorn_iterations: int = within(3, "[1, inf)")
 
-    base_lr: float = 1e-3
-    final_lr: float = 1e-5
-    warmup_fraction: float = 0.05
+    base_lr: float = within(1e-3, "[0, inf)")
+    final_lr: float = within(1e-5, "[0, inf)")
+    warmup_fraction: float = within(0.05, "[0, 1]")  # of total_steps; 1 warms up the whole run
 
     views: ViewConfig | dict = field(default_factory=ViewConfig)
     max_scene_points: int | None = None

@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from pointssl import EmptyCloudError, PointCloud, estimate_normals
 
-from conftest import make_cloud, toy_room
+from conftest import force_row_threads, make_cloud, toy_room
 
 
 def reference_normals(cloud, k):
@@ -107,3 +109,16 @@ def test_bit_identical_to_reference():
         ref_normals, ref_degenerate = reference_normals(cloud, k)
         assert np.array_equal(out.normals, ref_normals)
         assert np.array_equal(degenerate, ref_degenerate)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
+    threads = force_row_threads(monkeypatch, cpus)
+    out, degenerate = estimate_normals(big_room, k=16, return_degenerate=True)
+    if cpus == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert threads and threading.get_ident() not in threads
+    ref_normals, ref_degenerate = reference_normals(big_room, 16)
+    assert np.array_equal(out.normals, ref_normals)
+    assert np.array_equal(degenerate, ref_degenerate)

@@ -1,15 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from pointssl import EmptyCloudError, detect_dominant_plane
+from pointssl import EmptyCloudError, detect_dominant_plane, geometry
 from pointssl.rng import make_rng
 
-from conftest import make_cloud
+from conftest import force_row_threads, make_cloud
 
 
-def reference_best_hypothesis(points, iterations, inlier_threshold, seed):
-    """The sampling stream and scoring of detect_dominant_plane, one
-    hypothesis at a time: the best hypothesis's normal, offset and count."""
+def reference_hypotheses(points, iterations, seed):
+    """The sampling stream of detect_dominant_plane: each hypothesis's unit
+    normal and offset, and whether its sample spans a plane."""
     n = len(points)
     rng = make_rng(seed)
     samples = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
@@ -18,7 +21,13 @@ def reference_best_hypothesis(points, iterations, inlier_threshold, seed):
     norms = np.linalg.norm(normals, axis=1)
     ok = norms > 1e-12
     normals[ok] /= norms[ok, None]
-    offsets = np.einsum("ij,ij->i", normals, p0)
+    return normals, np.einsum("ij,ij->i", normals, p0), ok
+
+
+def reference_best_hypothesis(points, iterations, inlier_threshold, seed):
+    """The sampling stream and scoring of detect_dominant_plane, one
+    hypothesis at a time: the best hypothesis's normal, offset and count."""
+    normals, offsets, ok = reference_hypotheses(points, iterations, seed)
     best, best_count = -1, -1
     for i in range(iterations):
         count = int((np.abs(points @ normals[i] - offsets[i]) <= inlier_threshold).sum()) if ok[i] else 0
@@ -129,3 +138,51 @@ def test_points_exactly_at_threshold_count_as_inliers():
     assert np.array_equal(plane.normal, refit)
     assert plane.offset == float(refit @ centroid)
     assert plane.inlier_count == int((np.abs(points @ refit - refit @ centroid) <= threshold).sum())
+
+
+def reference_inlier_counts(points, normals, offsets, inlier_threshold):
+    """Every point scored against 128 hypotheses at a time in one matrix, as
+    detect_dominant_plane did before it split the points into row blocks."""
+    counts = []
+    for start in range(0, len(normals), 128):
+        sl = slice(start, min(start + 128, len(normals)))
+        dist = np.abs(points @ normals[sl].T - offsets[sl])
+        counts.append(np.count_nonzero(dist <= inlier_threshold, axis=0))
+    return np.concatenate(counts)
+
+
+class TestRowThreads:
+    @pytest.mark.parametrize("cpus", [8, 2, 1])
+    def test_counts_match_whole_matrix_scoring(self, big_room, monkeypatch, cpus):
+        # The row blocks share one buffer.  More workers than CPUs, switching
+        # as often as the interpreter allows, give a block writing into rows
+        # of another the most chances to change a count.
+        threads = force_row_threads(monkeypatch, cpus)
+        points = big_room.positions
+        # 300 hypotheses: the last block of 128 is a short one
+        normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [geometry._inlier_counts(points, normals, offsets, 0.02) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        if cpus == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert threads and threading.get_ident() not in threads
+        expected = reference_inlier_counts(points, normals, offsets, 0.02)
+        assert expected.max() > 0.15 * len(points)  # the floor is among them
+        for counts in runs:
+            assert np.array_equal(counts, expected)
+
+    def test_threads_match_inline(self, big_room, monkeypatch):
+        planes = []
+        for cpus in (2, 1):
+            threads = force_row_threads(monkeypatch, cpus)
+            planes.append(detect_dominant_plane(big_room, 512, 0.02, seed=7))
+            assert (threading.get_ident() in threads) == (cpus == 1)
+        threaded, inline = planes
+        assert np.array_equal(threaded.normal, inline.normal)
+        assert threaded.offset == inline.offset
+        assert threaded.inlier_count == inline.inlier_count

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,7 +7,7 @@ from scipy.spatial import cKDTree
 from pointssl import PointCloud, sor_filter
 from pointssl.geometry import mean_knn_distances
 
-from conftest import make_cloud, toy_room
+from conftest import force_row_threads, make_cloud, toy_room
 
 
 def brute_force_sor_survivors(points, k, std_mult):
@@ -108,3 +110,23 @@ def test_mean_knn_distances_bit_identical_to_reference():
             diff = points[:, None, :] - points[nbr]
             expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[:, 1:].mean(axis=1)
             assert np.array_equal(mean_knn_distances(points, k), expected)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
+    threads = force_row_threads(monkeypatch, cpus)
+    points = big_room.positions
+    means = mean_knn_distances(points, 16)
+    survivors = sor_filter(big_room, k=16, std_mult=2.0)
+    if cpus == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert threads and threading.get_ident() not in threads
+
+    _, nbr = cKDTree(points).query(points, k=17)
+    diff = points[:, None, :] - points[nbr]
+    expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[:, 1:].mean(axis=1)
+    assert np.array_equal(means, expected)
+    keep = expected <= expected.mean() + 2.0 * expected.std()
+    assert 0 < (~keep).sum() < len(points)
+    assert np.array_equal(survivors.positions, points[keep])

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pointssl import (
     aabb_diagonal,
     detect_dominant_plane,
     generate_room,
+    geometry,
     read_ply,
     write_ply,
 )
@@ -22,7 +24,7 @@ from pointssl.pipeline import (
     pca_colors,
 )
 
-from conftest import toy_room
+from conftest import force_row_threads, toy_room
 
 
 class TestAlignScene:
@@ -95,6 +97,27 @@ class TestCliAlign:
             for a, b in zip(serial.rows, parallel.rows):
                 assert {**a.to_dict(), "wall_time": 0} == {**b.to_dict(), "wall_time": 0}
                 assert (out / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
+
+    def test_parallel_jobs_with_row_pools_match_serial(self, tmp_path, monkeypatch):
+        # Scenes of several row blocks: each scene thread of --jobs 2 runs
+        # SOR, RANSAC and normals on a row pool of its own; --jobs 1 on one
+        # CPU runs every block inline.
+        scenes = tmp_path / "in"
+        scenes.mkdir()
+        for i in range(2):
+            write_ply(scenes / f"s{i}.ply",
+                      toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000))
+        config = PipelineConfig(downsample_points=2500)
+        force_row_threads(monkeypatch, cpus=1)
+        serial = cli_align(scenes, tmp_path / "o1", config)
+        assert all(config.downsample_points - r.sor_removed > 2 * geometry._ROW_BLOCK
+                   for r in serial.rows)
+        threads = force_row_threads(monkeypatch, cpus=2)
+        parallel = cli_align(scenes, tmp_path / "o2", config, jobs=2)
+        assert threads and threading.get_ident() not in threads
+        for a, b in zip(serial.rows, parallel.rows, strict=True):
+            assert {**a.to_dict(), "wall_time": 0} == {**b.to_dict(), "wall_time": 0}
+            assert (tmp_path / "o2" / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_report_roundtrips(self):
         report = PipelineReport(rows=[
@@ -256,6 +279,9 @@ class TestCliCommands:
         ("views", {"mask_ratio": 1.5}),
         ("views", {"grid_size": 0}),
         ("views", {"noise_dropout": 1.0}),
+        ("warmup_fraction", 40.0),
+        ("warmup_fraction", 1.7e308),
+        ("base_lr", -1.0),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointssl import PointCloud, read_ply, write_ply
-from pointssl.ply import PlyError
+from pointssl.ply import _PLY_TO_NUMPY, PlyError
 
 from conftest import make_cloud
 
@@ -182,3 +187,85 @@ def test_count_the_file_cannot_hold_is_rejected(tmp_path, fmt, row, count):
     path.write_bytes("\n".join(header + ["end_header", ""]).encode() + row)
     with pytest.raises(PlyError, match=f"'vertex' declares {count} rows but only {len(row)} bytes"):
         read_ply(path)
+
+
+@pytest.mark.parametrize("props, row, message", [
+    (["x", "y", "z"], "nan 2 3", "positions must be finite"),
+    (["x", "y", "z", "nx", "ny", "nz"], "1 2 3 0 0 0", "normals must have unit norm"),
+    (["x", "y", "z", "y"], "1 2 3 4", "header line 'property float y' repeats a property"),
+])
+def test_values_a_cloud_cannot_hold_raise_ply_error(tmp_path, props, row, message):
+    path = tmp_path / "bad_values.ply"
+    header = _HEADER[:3] + [f"property float {name}" for name in props]
+    path.write_text("\n".join(header + ["end_header", row, ""]))
+    with pytest.raises(PlyError, match=message):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("value", ["300", "-1", "2.5", "nan", "inf"])
+def test_ascii_value_outside_its_integer_type_is_rejected(tmp_path, value):
+    path = tmp_path / "bad_color.ply"
+    header = _HEADER + [f"property uchar {name}" for name in ("red", "green", "blue")]
+    path.write_text("\n".join(header + ["end_header", f"1 2 3 0 {value} 255", ""]))
+    with pytest.raises(PlyError, match="row 0: 'green' is not a uchar"):
+        read_ply(path)
+
+
+def _small_ply_files() -> list[bytes]:
+    """A 4-point cloud with colours and normals, binary and ASCII, with a
+    one-row camera element in front of the vertices."""
+    cloud = _sample_cloud(np.random.default_rng(3), n=4)
+    files = []
+    for binary in (True, False):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_ply(Path(tmp) / "small.ply", cloud, binary=binary)
+            head, body = (Path(tmp) / "small.ply").read_bytes().split(b"end_header\n")
+        camera = (b"element camera 1\nproperty float fx\n",
+                  np.array([500.0], "<f4").tobytes() if binary else b"500.0\n")
+        head = head.replace(b"element vertex", camera[0] + b"element vertex")
+        files.append(head + b"end_header\n" + camera[1] + body)
+    return files
+
+
+SMALL_PLY_FILES = _small_ply_files()
+_HEADER_EDITS = ("swap", "duplicate", "delete", "count", "type")
+
+
+@st.composite
+def mutated_ply(draw) -> bytes:
+    """A small valid PLY file with its header lines swapped, duplicated,
+    deleted or edited, then bytes flipped and the file cut short."""
+    data = draw(st.sampled_from(SMALL_PLY_FILES))
+    head, body = data.split(b"end_header\n")
+    lines = head.split(b"\n")[:-1] + [b"end_header"]
+    for edit in draw(st.lists(st.sampled_from(_HEADER_EDITS), max_size=3)):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        if edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "count" and words[:1] == [b"element"]:
+            count = draw(st.integers(0, 12) | st.sampled_from(["-1", "1e3", "", "10" * 12]))
+            lines[i] = b" ".join(words[:2] + [str(count).encode()])
+        elif edit == "type" and words[:1] == [b"property"] and len(words) == 3:
+            kind = draw(st.sampled_from(sorted(_PLY_TO_NUMPY) + ["list", "half", ""]))
+            lines[i] = b" ".join([words[0], kind.encode(), words[2]])
+    blob = bytearray(b"\n".join(lines) + b"\n" + body)
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_ply())
+def test_mutated_file_reads_or_raises_ply_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ply"
+    path.write_bytes(data)
+    try:
+        cloud, extras = read_ply(path)
+    except PlyError:
+        return
+    assert isinstance(cloud, PointCloud) and isinstance(extras, dict)
