@@ -52,7 +52,7 @@ from .model import (
 )
 from .ply import read_ply, write_ply
 from .scenes import GroundTruth, SceneSpec, generate_room
-from .sinkhorn import AssignmentMatrix, LogitsBatch, sinkhorn_normalize, softmax_rows
+from .sinkhorn import sinkhorn_normalize, softmax_rows
 from .trainer import (
     MetricsRecord,
     Schedule,
@@ -68,7 +68,6 @@ from .views import View, ViewConfig, ViewSet, grid_mask, make_views, noise_view
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentMatrix",
     "CorrespondenceSet",
     "DegenerateGeometryError",
     "EmptyCloudError",
@@ -76,7 +75,6 @@ __all__ = [
     "GeometryError",
     "GroundTruth",
     "KnnGraph",
-    "LogitsBatch",
     "MetricsRecord",
     "Plane",
     "PointCloud",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: align, gen-scenes, train-toy, gradcheck, sinkhorn, export-pca.
-Exit codes: 0 success (warnings allowed), 1 configuration error, 2 hard
-per-scene failure under --strict.  In --strict mode a --seed is required.
+Exit codes: 0 success (warnings allowed), 1 configuration error or malformed
+input file, 2 hard per-scene failure under --strict.  In --strict mode a
+--seed is required.
 """
 
 from __future__ import annotations
@@ -177,15 +178,14 @@ def _add_sinkhorn(subparsers):
 
 
 def _cmd_sinkhorn(args) -> int:
-    from .sinkhorn import LogitsBatch, sinkhorn_normalize, softmax_rows
+    from .sinkhorn import sinkhorn_normalize, softmax_rows
 
-    matrix = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    logits = LogitsBatch(matrix, args.temperature)
+    logits = np.loadtxt(args.input, delimiter=",", ndmin=2)
     if args.softmax:
-        result = softmax_rows(logits)
+        result = softmax_rows(logits, args.temperature)
     else:
-        result = sinkhorn_normalize(logits, iterations=args.iterations)
-    for row in result.values:
+        result = sinkhorn_normalize(logits, args.temperature, args.iterations)
+    for row in result:
         print(",".join(f"{v:.10g}" for v in row))
     return 0
 
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # PLY, JSON, checkpoint and logits errors
         logger.error("%s", exc)
         return 1
 

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from ._arrays import frozen_array
 from .geometry import KnnGraph
-from .sinkhorn import AssignmentMatrix, LogitsBatch, _checked_assignments, _checked_logits
+from .sinkhorn import _checked_assignments, _checked_logits
 
 PAIRWISE = "pairwise"
 HUBER_RESIDUAL = "huber_residual"
@@ -48,31 +48,26 @@ class CorrespondenceSet:
         return len(self.student_indices)
 
 
-def clustering_ce(q, logits, temperature: float | None = None) -> tuple[float, np.ndarray]:
+def clustering_ce(q, logits, temperature: float = 1.0) -> tuple[float, np.ndarray]:
     """Cross-entropy of student softmax against fixed teacher assignments.
 
-    L = -(1/B) sum_i sum_k q_ik log p_ik with p = softmax(logits / tau).
-    Returns (L, dL/dlogits) where dL/dlogits = (p - q) / (B * tau).
+    L = -(1/B) sum_i sum_k q_ik log p_ik with p = softmax(logits / T).
+    Returns (L, dL/dlogits) where dL/dlogits = (p - q) / (B * T).
 
-    q and logits are B x K arrays, checked as AssignmentMatrix and LogitsBatch
-    check them but not copied.  An AssignmentMatrix or LogitsBatch may stand
-    in for either; temperature defaults to the LogitsBatch's own, else 1.0.
+    q (non-negative rows summing to 1) and logits are B x K arrays; both are
+    checked but not copied.
     """
-    if isinstance(logits, LogitsBatch):
-        temperature = logits.temperature if temperature is None else temperature
-        logits = logits.values
-    tau = 1.0 if temperature is None else temperature
-    q = _checked_assignments(q.values if isinstance(q, AssignmentMatrix) else q)
-    logits = _checked_logits(logits, tau)
+    q = _checked_assignments(q)
+    logits = _checked_logits(logits, temperature)
     if q.shape != logits.shape:
         raise ValueError(f"shape mismatch: teacher {q.shape} vs student {logits.shape}")
     b = q.shape[0]
-    scaled = logits / tau
+    scaled = logits / temperature
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     terms = np.where(q > 0.0, q * log_p, 0.0)
     loss = -terms.sum() / b
-    grad = (np.exp(log_p) - q) / (b * tau)
+    grad = (np.exp(log_p) - q) / (b * temperature)
     return float(loss), grad
 
 

@@ -8,11 +8,7 @@ temperature softmax.  All reductions run in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from ._arrays import frozen_array
 
 ROW_SUM_TOL = 1e-6
 
@@ -48,62 +44,35 @@ def _checked_assignments(values) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class LogitsBatch:
-    """B x K prototype logits with a sharpening temperature."""
-
-    values: np.ndarray
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        v = frozen_array(self.values, np.float64)
-        object.__setattr__(self, "values", _checked_logits(v, self.temperature))
-
-
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """B x K non-negative matrix whose rows sum to 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _checked_assignments(frozen_array(self.values, np.float64)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-def _stabilized_exp(logits: LogitsBatch) -> np.ndarray:
-    # exp(values / T - row max), built in one new array: a batch's pooled
-    # teacher logits take about 11 MB for four 4,000-point rooms.
-    m = np.divide(logits.values, logits.temperature)
+def _stabilized_exp(logits, temperature: float) -> np.ndarray:
+    # exp(logits / T - row max) of checked logits, built in one new array: a
+    # batch's pooled teacher logits take about 11 MB for four 4,000-point rooms.
+    m = np.divide(_checked_logits(logits, temperature), temperature)
     m -= m.max(axis=1, keepdims=True)
     return np.exp(m, out=m)
 
 
-def softmax_rows(logits: LogitsBatch) -> AssignmentMatrix:
-    """Row-wise softmax of values / temperature, stabilized by the row max."""
-    m = _stabilized_exp(logits)
-    return AssignmentMatrix(m / m.sum(axis=1, keepdims=True))
+def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
+    """B x K row-wise softmax of logits / temperature, stabilized by the row max."""
+    m = _stabilized_exp(logits, temperature)
+    return m / m.sum(axis=1, keepdims=True)
 
 
-def sinkhorn_normalize(logits: LogitsBatch, iterations: int = 3) -> AssignmentMatrix:
-    """Entropy-regularized soft assignment by alternating rescaling.
+def sinkhorn_normalize(logits, temperature: float = 1.0, iterations: int = 3) -> np.ndarray:
+    """B x K entropy-regularized soft assignment by alternating rescaling.
 
-    Starting from exp(values / temperature - row max), each iteration first
+    Starting from exp(logits / temperature - row max), each iteration first
     rescales every column to sum B/K (the uniform prototype marginal), then
     every row to sum 1.  The final row step makes the row-sum invariant
     exact.  Columns whose mass underflowed to zero are left at zero.
     """
+    m = _stabilized_exp(logits, temperature)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    m = _stabilized_exp(logits)
     b, k = m.shape
     column_target = b / k
     for _ in range(iterations):
         col_sums = m.sum(axis=0, keepdims=True)
         m *= np.divide(column_target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0.0)
         m /= m.sum(axis=1, keepdims=True)
-    m.flags.writeable = False  # handed to the AssignmentMatrix without a copy
-    return AssignmentMatrix(m)
+    return m

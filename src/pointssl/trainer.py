@@ -47,7 +47,7 @@ from .model import (
     save_model,
 )
 from .rng import make_rng
-from .sinkhorn import LogitsBatch, sinkhorn_normalize
+from .sinkhorn import sinkhorn_normalize
 from .views import MIN_SCENE_POINTS, View, ViewConfig, ViewSet, make_views, noise_view
 
 
@@ -123,8 +123,8 @@ class TrainConfig:
     ema_momentum: Schedule | dict | float = within(
         lambda: {"kind": "cosine", "start": 0.994, "end": 1.0}, "[0, 1]"
     )
-    weight_decay: Schedule | dict | float = field(
-        default_factory=lambda: {"kind": "linear", "start": 0.04, "end": 0.10}
+    weight_decay: Schedule | dict | float = within(
+        lambda: {"kind": "linear", "start": 0.04, "end": 0.10}, "[0, inf)"
     )
 
     unmask_weight: float = within(4.0, "[0, inf)")
@@ -135,7 +135,7 @@ class TrainConfig:
     laplacian_form: str = HUBER_RESIDUAL
     laplacian_knn: int = within(24, "[1, inf)")
     laplacian_max_radius: float = within(0.08, "(0, inf)")
-    correspondence_cutoff: float = 0.05
+    correspondence_cutoff: float = within(0.05, "[0, inf)")  # 0 keeps the pairs at distance 0
     sinkhorn_iterations: int = within(3, "[1, inf)")
 
     base_lr: float = within(1e-3, "[0, inf)")
@@ -306,8 +306,7 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_m
     # several scenes at once.
     pooled = np.concatenate(teacher_logits, axis=0)
     del teacher_logits
-    pooled.flags.writeable = False  # the LogitsBatch adopts it without a copy
-    q_all = sinkhorn_normalize(LogitsBatch(pooled, tau_t), config.sinkhorn_iterations).values
+    q_all = sinkhorn_normalize(pooled, tau_t, config.sinkhorn_iterations)
     del pooled
     q_split = np.split(q_all, splits)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pointssl import (
-    LogitsBatch,
     SceneSpec,
     TrainConfig,
     aabb_diagonal,
@@ -32,7 +31,6 @@ from pointssl import (
 )
 from pointssl.gradcheck import run_gradcheck
 from pointssl.pipeline import PipelineConfig, align_scene, draw_target_scale
-from pointssl.sinkhorn import AssignmentMatrix
 
 from conftest import make_cloud, toy_room
 
@@ -71,14 +69,14 @@ def test_criterion_2_sinkhorn_invariants():
     # output rows sum to 1 within 1e-12
     for _ in range(20):
         b, k = int(rng.integers(1, 24)), int(rng.integers(2, 16))
-        out = sinkhorn_normalize(LogitsBatch(rng.normal(0, 3, (b, k)), 0.1), 3)
-        np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
+        out = sinkhorn_normalize(rng.normal(0, 3, (b, k)), 0.1, 3)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     # 50-iteration runs on random 8x8 logits converge to column sums B/K
     # within 1e-8 and match an independent long-run oracle
     for trial in range(5):
         values = rng.normal(0, 1, (8, 8))
-        out = sinkhorn_normalize(LogitsBatch(values), iterations=50).values
+        out = sinkhorn_normalize(values, iterations=50)
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-8)
         oracle = np.exp(values - values.max(axis=1, keepdims=True))
         for _ in range(50):
@@ -303,7 +301,7 @@ def test_criterion_8_spot_values():
     # uniform student, exact to 1e-9
     q = np.zeros((1, 10))
     q[0, 0] = 1.0
-    loss, _ = clustering_ce(AssignmentMatrix(q), LogitsBatch(np.zeros((1, 10))))
+    loss, _ = clustering_ce(q, np.zeros((1, 10)))
     assert loss == pytest.approx(np.log(10.0), abs=1e-9)
 
     # alpha = 0.5 when scaling a diagonal of 10 down to 5

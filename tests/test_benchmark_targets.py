@@ -3,7 +3,9 @@
 perfbench/ traces a layer by swapping the name pointssl.trainer or
 pointssl.pipeline calls it through.  A refactor that inlines or renames such
 a call would leave the layer reported as 0 ms rather than fail, so this
-checks every workload's targets resolve.
+checks every workload's targets resolve.  An observer that no longer fits a
+layer's arguments or result is likewise only reported as broken, so one
+traced train step checks the observers too.
 """
 
 import importlib
@@ -24,3 +26,17 @@ def test_every_traced_name_resolves(perfbench_modules):
     workloads, spans = perfbench_modules
     for name, make in workloads.WORKLOADS.items():
         assert spans.Tracer(make().targets).absent == [], name
+
+
+def test_traced_train_step_breaks_no_observer(perfbench_modules, tmp_path):
+    workloads, spans = perfbench_modules
+    w = workloads.TrainWorkload(workloads.TOY_ROOM, 4, workloads.TOY_CONFIG)
+    w.setup(1, tmp_path)
+    tracer = spans.Tracer(w.targets)
+    tracer.install()
+    try:
+        tracer.call("trainer.self", w.op)
+    finally:
+        tracer.remove()
+    assert tracer.broken == set()
+    assert tracer.counts["sinkhorn.rows"] > 0

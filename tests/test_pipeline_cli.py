@@ -219,6 +219,34 @@ class TestCliCommands:
         assert "bad pipeline config" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, files, message", [
+        (["sinkhorn", "--input", "in.csv"], {"in.csv": "x\n"}, "could not convert"),
+        (["sinkhorn", "--input", "in.csv"], {"in.csv": "1\n2\n"}, "at least 2 prototypes"),
+        (["sinkhorn", "--input", "in.csv"], {"in.csv": "nan,0\n"}, "NaN or +Inf"),
+        (["sinkhorn", "--input", "in.csv", "--temperature", "0"], {"in.csv": "0,0\n"},
+         "temperature must be positive"),
+        (["sinkhorn", "--input", "in.csv", "--iterations", "0"], {"in.csv": "0,0\n"},
+         "iterations must be >= 1"),
+        (["export-pca", "--checkpoint", "model.ckpt", "--scene", "room.ply", "--out", "out.ply"],
+         {"model.ckpt": "not a checkpoint"}, "bad checkpoint magic"),
+        (["train-toy", "--scenes", "scenes", "--out", "run"],
+         {"scenes/r0.ply": "ply\nformat ascii 1.0\nend_header\n"}, "no vertex element"),
+        (["train-toy", "--config", "config.json", "--scenes", "scenes", "--out", "run"],
+         {"config.json": "{"}, "Expecting"),
+        (["align", "--config", "config.json", "--input", "scenes", "--output", "out"],
+         {"config.json": "{"}, "Expecting"),
+    ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
+            "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json"])
+    def test_malformed_input_exits_1_with_its_message(
+        self, tmp_path, monkeypatch, caplog, argv, files, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert main(argv) == 1
+        assert message in caplog.text
+
     def test_strict_requires_seed(self, tmp_path):
         assert main([
             "align", "--input", str(tmp_path), "--output", str(tmp_path / "o"), "--strict",
@@ -282,6 +310,10 @@ class TestCliCommands:
         ("warmup_fraction", 40.0),
         ("warmup_fraction", 1.7e308),
         ("base_lr", -1.0),
+        ("correspondence_cutoff", -1.0),
+        ("correspondence_cutoff", float("nan")),
+        ("weight_decay", -5.0),
+        ("weight_decay", float("nan")),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointssl import AssignmentMatrix, LogitsBatch, sinkhorn_normalize, softmax_rows
+from pointssl import clustering_ce, sinkhorn_normalize, softmax_rows
 
 
 def oracle_sinkhorn(values, temperature, iterations):
@@ -23,51 +23,51 @@ def oracle_sinkhorn(values, temperature, iterations):
 
 class TestSoftmax:
     def test_uniform(self):
-        out = softmax_rows(LogitsBatch(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.values, 0.25)
+        out = softmax_rows(np.zeros((2, 4)))
+        np.testing.assert_allclose(out, 0.25)
 
     def test_exact_exponentials(self):
-        out = softmax_rows(LogitsBatch(np.array([[np.log(2.0), 0.0]])))
-        np.testing.assert_allclose(out.values, [[2 / 3, 1 / 3]], atol=1e-15)
+        out = softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_extreme_logits_stable(self):
-        out = softmax_rows(LogitsBatch(np.array([[1000.0, 0.0]])))
-        np.testing.assert_allclose(out.values, [[1.0, 0.0]], atol=1e-12)
-        assert np.isfinite(out.values).all()
+        out = softmax_rows(np.array([[1000.0, 0.0]]))
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
+        assert np.isfinite(out).all()
 
     def test_temperature_sharpens(self):
         logits = np.array([[1.0, 0.3, -0.5, 0.0]])
-        soft = softmax_rows(LogitsBatch(logits, temperature=1.0)).values
-        sharp = softmax_rows(LogitsBatch(logits, temperature=0.1)).values
+        soft = softmax_rows(logits, temperature=1.0)
+        sharp = softmax_rows(logits, temperature=0.1)
         assert sharp.max() > soft.max()
 
 
 class TestSinkhorn:
     def test_uniform_fixed_point(self):
-        out = sinkhorn_normalize(LogitsBatch(np.zeros((4, 4))), iterations=3)
-        np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
+        out = sinkhorn_normalize(np.zeros((4, 4)), iterations=3)
+        np.testing.assert_allclose(out, 0.25, atol=1e-15)
 
     def test_single_row_sums_to_one(self):
         # With one sample the uniform prototype marginal forces the uniform
         # row; the row-sum contract still holds exactly.
-        out = sinkhorn_normalize(LogitsBatch(np.array([[3.0, -1.0, 0.5]])), iterations=3)
-        assert out.values.sum() == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(out.values, 1 / 3, atol=1e-12)
+        out = sinkhorn_normalize(np.array([[3.0, -1.0, 0.5]]), iterations=3)
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(out, 1 / 3, atol=1e-12)
 
     def test_strong_diagonal_converges_to_identity(self):
         logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-        out = sinkhorn_normalize(LogitsBatch(logits, temperature=1.0), iterations=3)
+        out = sinkhorn_normalize(logits, temperature=1.0, iterations=3)
         converged, _ = oracle_sinkhorn(logits, 1.0, 200)
-        np.testing.assert_allclose(out.values, converged, atol=1e-4)
-        np.testing.assert_allclose(out.values, np.eye(2), atol=1e-4)
+        np.testing.assert_allclose(out, converged, atol=1e-4)
+        np.testing.assert_allclose(out, np.eye(2), atol=1e-4)
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 5])
     def test_matches_loop_oracle(self, iterations):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 2, (6, 5))
-        out = sinkhorn_normalize(LogitsBatch(values, 0.5), iterations=iterations)
+        out = sinkhorn_normalize(values, 0.5, iterations=iterations)
         expected, _ = oracle_sinkhorn(values, 0.5, iterations)
-        np.testing.assert_allclose(out.values, expected, atol=1e-13)
+        np.testing.assert_allclose(out, expected, atol=1e-13)
 
     def test_column_sums_after_column_step(self):
         rng = np.random.default_rng(1)
@@ -80,31 +80,31 @@ class TestSinkhorn:
         rng = np.random.default_rng(2)
         for _ in range(10):
             values = rng.normal(0, 3, (rng.integers(1, 20), rng.integers(2, 12)))
-            out = sinkhorn_normalize(LogitsBatch(values, 0.2), iterations=3)
-            np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
+            out = sinkhorn_normalize(values, 0.2, iterations=3)
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_long_run_column_convergence(self):
         rng = np.random.default_rng(3)
         values = rng.normal(0, 1, (8, 8))
-        out = sinkhorn_normalize(LogitsBatch(values), iterations=50)
-        np.testing.assert_allclose(out.values.sum(axis=0), 1.0, atol=1e-8)
+        out = sinkhorn_normalize(values, iterations=50)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-8)
         converged, _ = oracle_sinkhorn(values, 1.0, 50)
-        np.testing.assert_allclose(out.values, converged, atol=1e-12)
+        np.testing.assert_allclose(out, converged, atol=1e-12)
 
     def test_row_shift_invariance(self):
         rng = np.random.default_rng(4)
         values = rng.normal(0, 2, (7, 5))
         shifts = rng.normal(0, 10, (7, 1))
-        a = sinkhorn_normalize(LogitsBatch(values, 0.5), iterations=3)
-        b = sinkhorn_normalize(LogitsBatch(values + shifts, 0.5), iterations=3)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-10)
+        a = sinkhorn_normalize(values, 0.5, iterations=3)
+        b = sinkhorn_normalize(values + shifts, 0.5, iterations=3)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_monotone_sharpening_softmax(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             values = rng.normal(0, 1, (6, 8))
-            warm = softmax_rows(LogitsBatch(values, 0.5)).values
-            cold = softmax_rows(LogitsBatch(values, 0.1)).values
+            warm = softmax_rows(values, 0.5)
+            cold = softmax_rows(values, 0.1)
             assert (cold.max(axis=1) > warm.max(axis=1)).all()
 
     def test_monotone_sharpening_sinkhorn_mean(self):
@@ -114,46 +114,47 @@ class TestSinkhorn:
         rng = np.random.default_rng(5)
         for _ in range(50):
             values = rng.normal(0, 1, (6, 8))
-            warm = sinkhorn_normalize(LogitsBatch(values, 0.5), iterations=3).values
-            cold = sinkhorn_normalize(LogitsBatch(values, 0.1), iterations=3).values
+            warm = sinkhorn_normalize(values, 0.5, iterations=3)
+            cold = sinkhorn_normalize(values, 0.1, iterations=3)
             assert cold.max(axis=1).mean() > warm.max(axis=1).mean()
 
     def test_all_neginf_row_rejected(self):
         values = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
         with pytest.raises(ValueError, match="-Inf"):
-            sinkhorn_normalize(LogitsBatch(values), iterations=3)
+            sinkhorn_normalize(values, iterations=3)
 
     def test_rejects_nan_and_posinf(self):
-        with pytest.raises(ValueError):
-            LogitsBatch(np.array([[np.nan, 0.0]]))
-        with pytest.raises(ValueError):
-            LogitsBatch(np.array([[np.inf, 0.0]]))
+        for normalize in (sinkhorn_normalize, softmax_rows):
+            with pytest.raises(ValueError):
+                normalize(np.array([[np.nan, 0.0]]))
+            with pytest.raises(ValueError):
+                normalize(np.array([[np.inf, 0.0]]))
 
     def test_each_non_finite_case_keeps_its_message(self):
         base = np.zeros((3, 4))
-        for value, message in ((np.nan, "NaN or \\+Inf"), (np.inf, "NaN or \\+Inf")):
+        for normalize in (sinkhorn_normalize, softmax_rows):
+            for value, message in ((np.nan, "NaN or \\+Inf"), (np.inf, "NaN or \\+Inf")):
+                values = base.copy()
+                values[1, 2] = value
+                values[2] = -np.inf
+                with pytest.raises(ValueError, match=message):
+                    normalize(values)
             values = base.copy()
-            values[1, 2] = value
             values[2] = -np.inf
-            with pytest.raises(ValueError, match=message):
-                LogitsBatch(values)
-        values = base.copy()
-        values[2] = -np.inf
-        with pytest.raises(ValueError, match="row of all -Inf"):
-            LogitsBatch(values)
+            with pytest.raises(ValueError, match="row of all -Inf"):
+                normalize(values)
 
     def test_partial_neginf_row_accepted(self):
         values = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, 2.0]])
-        batch = LogitsBatch(values)
-        np.testing.assert_array_equal(batch.values, values)
-        assignments = softmax_rows(batch).values
+        assignments = softmax_rows(values)
+        np.testing.assert_array_equal(values, [[0.0, -np.inf, 1.0], [-np.inf, -np.inf, 2.0]])
         assert assignments[1, 2] == 1.0 and assignments[0, 1] == 0.0
 
     def test_assignment_matrix_validation(self):
         with pytest.raises(ValueError):
-            AssignmentMatrix(np.array([[0.7, 0.7]]))
+            clustering_ce(np.array([[0.7, 0.7]]), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            AssignmentMatrix(np.array([[-0.1, 1.1]]))
+            clustering_ce(np.array([[-0.1, 1.1]]), np.zeros((1, 2)))
 
 
 def _out_of_place_exp(values, temperature):
@@ -190,16 +191,15 @@ class TestInPlaceExp:
     @pytest.mark.parametrize("case", range(4))
     def test_bit_identical_to_out_of_place(self, case):
         values, temperature = list(_bitwise_cases())[case]
-        logits = LogitsBatch(values, temperature)
         m = _out_of_place_exp(values, temperature)
-        assert np.array_equal(softmax_rows(logits).values, m / m.sum(axis=1, keepdims=True))
+        assert np.array_equal(softmax_rows(values, temperature), m / m.sum(axis=1, keepdims=True))
         for iterations in (1, 3):
             assert np.array_equal(
-                sinkhorn_normalize(logits, iterations).values,
+                sinkhorn_normalize(values, temperature, iterations),
                 _out_of_place_sinkhorn(values, temperature, iterations),
             )
 
     def test_underflowed_column_stays_zero(self):
         values, temperature = list(_bitwise_cases())[3]
-        out = sinkhorn_normalize(LogitsBatch(values, temperature), iterations=3).values
+        out = sinkhorn_normalize(values, temperature, iterations=3)
         assert not out[:, 3].any()

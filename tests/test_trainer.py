@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from pointssl import (
-    AssignmentMatrix,
-    LogitsBatch,
     PointCloud,
     Schedule,
     TrainConfig,
@@ -224,20 +222,20 @@ class TestTrainStep:
 
 
 def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
-    # The losses and views take the step's arrays as they are; the one
-    # container pair a step builds is the pooled Sinkhorn's, plus one cloud a
-    # scene for the Laplacian's kNN graph.
+    # The losses, views and Sinkhorn take the step's arrays as they are; the
+    # only containers a step builds are one cloud a scene for the Laplacian's
+    # kNN graph.
     built = Counter()
-    for cls in (LogitsBatch, AssignmentMatrix, PointCloud):
-        def counting(self, _check=cls.__post_init__, _name=cls.__name__):
-            built[_name] += 1
-            _check(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+    def counting(self, _check=PointCloud.__post_init__):
+        built["PointCloud"] += 1
+        _check(self)
+
+    monkeypatch.setattr(PointCloud, "__post_init__", counting)
     state = init_train_state(_toy_config(batch_size=4))
     _, record = train_step(state, toy_scenes[:4])
     assert record.laplacian > 0.0 and record.consistency > 0.0
-    assert built == {"LogitsBatch": 1, "AssignmentMatrix": 1, "PointCloud": 4}
+    assert built == {"PointCloud": 4}
 
 
 class TestSceneThreads:
