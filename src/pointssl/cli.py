@@ -2,8 +2,8 @@
 
 Subcommands: align, gen-scenes, train-toy, gradcheck, sinkhorn, export-pca.
 Exit codes: 0 success (warnings allowed), 1 configuration error or malformed
-input file, 2 hard per-scene failure under --strict.  In --strict mode a
---seed is required.
+input file, 2 hard per-scene failure under --strict.  The subcommands that
+take --seed also take --strict, which makes the seed required.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def _add_sinkhorn(subparsers):
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--softmax", action="store_true", help="plain row softmax instead")
-    p.add_argument("--strict", action="store_true")
 
 
 def _cmd_sinkhorn(args) -> int:
@@ -195,7 +194,6 @@ def _add_export_pca(subparsers):
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True, help="input .ply scene")
     p.add_argument("--out", required=True, help="output colored .ply")
-    p.add_argument("--strict", action="store_true")
 
 
 def _cmd_export_pca(args) -> int:

@@ -9,14 +9,13 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import _threads
 from ._arrays import frozen_array
 from .rng import make_rng
 
@@ -204,16 +203,8 @@ def _self_knn(points: np.ndarray, k: int) -> np.ndarray:
     The query runs one thread per CPU this process may use; each row is
     searched on its own, so the indices are those of a single-threaded query.
     """
-    _, nbr = cKDTree(points).query(points, k=k, workers=_usable_cpus())
+    _, nbr = cKDTree(points).query(points, k=k, workers=_threads.usable_cpus())
     return nbr.reshape(len(points), k)
-
-
-def _usable_cpus() -> int:
-    # scipy's workers=-1 counts every CPU of the machine, including those
-    # outside this process's affinity mask.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # Rows per block of the row-parallel stages.  Blocks of 128 to 4,096 rows
@@ -224,18 +215,12 @@ _ROW_BLOCK = 1024
 
 
 def _row_map(fn, n: int) -> list:
-    """[fn(rows) for rows in slices of _ROW_BLOCK consecutive rows of range(n)].
-
-    The blocks run on a thread pool with one worker per usable CPU when there
-    are two or more of each.  Results come back in block order either way, so
-    a caller that concatenates or sums them gets the inline result bit for bit.
+    """[fn(rows) for rows in slices of _ROW_BLOCK consecutive rows of range(n)],
+    on one thread per usable CPU.  Results come back in block order, so a
+    caller that concatenates or sums them gets the inline result bit for bit.
     """
     blocks = [slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK)]
-    workers = min(_usable_cpus(), len(blocks))
-    if workers < 2:
-        return [fn(rows) for rows in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+    return _threads.thread_map(fn, blocks, _threads.usable_cpus())
 
 
 def _bounded_knn(tree: cKDTree, k: int, bound: float) -> np.ndarray:
@@ -389,26 +374,21 @@ def _inlier_counts(
     pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, inlier_threshold: float
 ) -> np.ndarray:
     """Per hypothesis, the number of points within inlier_threshold of its plane."""
-    n, iterations = len(pts), len(normals)
+    iterations = len(normals)
     block = 128
-    buffer = np.empty((n, min(block, iterations)))
 
     def count_rows(rows):
-        # This row block's own rows of the buffer, flat: sliced per hypothesis
-        # block, every block, the shorter last one included, is C-contiguous,
-        # so matmul writes into it without a temporary.
-        points, part = pts[rows], buffer[rows].reshape(-1)
+        points = pts[rows]
         counts = np.empty(iterations, np.int64)
         for start in range(0, iterations, block):
             sl = slice(start, min(start + block, iterations))
-            dist = part[: len(points) * (sl.stop - start)].reshape(len(points), -1)
-            np.matmul(points, normals[sl].T, out=dist)
+            dist = points @ normals[sl].T
             dist -= offsets[sl]
             np.abs(dist, out=dist)
             counts[sl] = np.count_nonzero(dist <= inlier_threshold, axis=0)
         return counts
 
-    return sum(_row_map(count_rows, n))
+    return sum(_row_map(count_rows, len(pts)))
 
 
 def detect_dominant_plane(

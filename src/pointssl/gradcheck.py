@@ -179,6 +179,8 @@ def run_gradcheck(trials: int = 100, seed: int = 0, encoder_trials: int = 5) -> 
 
     Every entry must come in under 1e-4 for the suite to pass.
     """
+    if min(trials, encoder_trials) < 1:
+        raise ValueError(f"trials ({trials}) and encoder_trials ({encoder_trials}) must be >= 1")
     rng = make_rng(seed, 0xFD)
     checks = {
         "clustering_ce": lambda: _check_clustering_ce(rng),

@@ -146,7 +146,6 @@ class EncodeCache:
     features: np.ndarray
     preactivations: list[np.ndarray]
     sigmoids: list[np.ndarray]
-    raw_output: np.ndarray
     safe_norms: np.ndarray
     floored: np.ndarray
     embeddings: np.ndarray
@@ -189,7 +188,7 @@ def encode_features(
     if floored.any():
         z[floored] = 0.0
         z[floored, 0] = 1.0
-    return EncodeCache(f, preacts, sigs, raw, safe, floored, z, mask)
+    return EncodeCache(f, preacts, sigs, safe, floored, z, mask)
 
 
 def encode(

@@ -15,12 +15,12 @@ import json
 import logging
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _threads
 from ._config import check_fields, within
 from .geometry import (
     PointCloud,
@@ -221,15 +221,9 @@ def cli_align(
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(input_dir.glob("*.ply"))
-    if jobs <= 1:
-        rows = [_process_file(p, out_dir, config, i) for i, p in enumerate(files)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda args: _process_file(*args),
-                         [(p, out_dir, config, i) for i, p in enumerate(files)])
-            )
-    return PipelineReport(rows=rows)
+    return PipelineReport(rows=_threads.thread_map(
+        lambda i: _process_file(files[i], out_dir, config, i), range(len(files)), jobs
+    ))
 
 
 def pca_colors(embeddings: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_fields, within
 from .geometry import Plane, PointCloud
 from .rng import make_rng
 
@@ -34,31 +35,26 @@ class SceneSpec:
 
     # wider than tall, so the floor dominates every wall by a wide margin
     # even after ghost duplication and downsampling
-    extents: tuple[float, float, float] = (5.0, 4.0, 2.2)
-    surface_density: float = 500.0   # points per square meter
+    extents: tuple[float, float, float] = within((5.0, 4.0, 2.2), "(0, inf)")
+    surface_density: float = within(500.0, "(0, inf)")  # points per square meter
     ceiling_coverage: float = 0.6    # ceiling density relative to the floor
     furniture_count: int = 3
     furniture_size_min: float = 0.3
     furniture_size_max: float = 1.2
     surface_noise: float = 0.005
-    outlier_count: int = 0
+    outlier_count: int = within(0, "[0, inf)")
     outlier_radius: float = 6.0
-    ghost_fraction: float = 0.0
+    ghost_fraction: float = within(0.0, "[0, 1]")
     ghost_offset: float = 0.05
     hole_count: int = 0
     hole_radius: float = 0.3
     tilt_degrees: float = 0.0
-    scale: float = 1.0
-    max_points: int = 20000
+    scale: float = within(1.0, "(0, inf)")
+    max_points: int = within(20000, "[1, inf)")
     seed: int = 0
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.extents):
-            raise ValueError("room extents must be positive")
-        if not 0.0 <= self.ghost_fraction <= 1.0:
-            raise ValueError("ghost_fraction must lie in [0, 1]")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

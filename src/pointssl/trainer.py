@@ -14,16 +14,14 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import _threads
 from ._config import check_fields, within
-from .geometry import PointCloud, _usable_cpus, build_knn_graph
+from .geometry import PointCloud, build_knn_graph
 from .losses import (
     HUBER_RESIDUAL,
     PAIRWISE,
@@ -83,15 +81,18 @@ class Schedule:
         return self.end + (self.start - self.end) * 0.5 * (1.0 + np.cos(np.pi * t))
 
 
-def _schedule_from(spec, total_steps: int, default_kind="linear") -> Schedule:
+def _schedule_from(name: str, spec, total_steps: int) -> Schedule:
     if isinstance(spec, Schedule):
+        # to_dict writes a schedule without its span, which is the config's.
+        if spec.total_steps != total_steps:
+            raise ValueError(f"{name} spans {spec.total_steps} steps, the run {total_steps}")
         return spec
     if isinstance(spec, (int, float)):
         return Schedule("constant", float(spec), float(spec), total_steps)
     if not (isinstance(spec, dict) and {"start", "end"} <= spec.keys() <= {"kind", "start", "end"}):
         raise TypeError(f"a schedule is a number or a dict of start, end and kind, got {spec!r}")
     return Schedule(
-        spec.get("kind", default_kind), float(spec["start"]), float(spec["end"]), total_steps
+        spec.get("kind", "linear"), float(spec["start"]), float(spec["end"]), total_steps
     )
 
 
@@ -147,7 +148,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("teacher_temperature", "laplacian_schedule", "ema_momentum", "weight_decay"):
-            object.__setattr__(self, name, _schedule_from(getattr(self, name), self.total_steps))
+            schedule = _schedule_from(name, getattr(self, name), self.total_steps)
+            object.__setattr__(self, name, schedule)
         if not isinstance(self.views, ViewConfig):
             object.__setattr__(self, "views", ViewConfig(**self.views))
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -240,19 +242,6 @@ def _derive_seed(config: TrainConfig, step: int, scene_index: int, purpose: int)
 PARALLEL_MIN_SCENE_POINTS = 2000
 
 
-@contextmanager
-def _scene_map(scene_sizes: list[int]):
-    """Yield map, or the map of a thread pool with one worker per usable CPU
-    (at most one per scene) when there are two or more and the scenes average
-    PARALLEL_MIN_SCENE_POINTS points.  Either returns results in input order."""
-    workers = min(_usable_cpus(), len(scene_sizes))
-    if workers < 2 or np.mean(scene_sizes) < PARALLEL_MIN_SCENE_POINTS:
-        yield map
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
 class _GradAccumulator:
     def __init__(self, params: EncoderParams, head: PrototypeHead):
         self.params = params.zeros_like()
@@ -279,16 +268,16 @@ def step_objective(
     Returns (terms, total, grads, q_all): grads holds d total / d(student
     encoder, head projection), q_all the pooled Sinkhorn teacher assignments.
     """
-    return _objective(state, scene_views, step, map)
+    return _objective(state, scene_views, step, workers=1)
 
 
-def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_map):
-    """step_objective with the per-scene work run through scene_map.
+def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers: int):
+    """step_objective with the per-scene work on up to `workers` threads.
 
     Only the pooled Sinkhorn spans scenes.  The teacher passes and each
-    scene's terms and gradients come back from scene_map in scene order and
-    are summed here in that order, so the result does not depend on whether
-    scene_map runs them on threads.
+    scene's terms and gradients come back from thread_map in scene order and
+    are summed here in that order, so the result does not depend on the
+    number of workers.
     """
     config = state.config
     tau_t = config.teacher_temperature.value_at(step)
@@ -297,7 +286,9 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_m
 
     teacher_logits = [
         logits
-        for pair in scene_map(partial(_teacher_logits, state.teacher), scene_views)
+        for pair in _threads.thread_map(
+            lambda views: _teacher_logits(state.teacher, views), scene_views, workers
+        )
         for logits in pair
     ]
     splits = np.cumsum([len(t) for t in teacher_logits])[:-1]
@@ -313,9 +304,10 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, scene_m
     grads = _GradAccumulator(state.params, state.head)
     terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
     scale = 1.0 / len(scene_views)
-    per_scene = scene_map(
-        partial(_scene_objective, state, step, lam),
-        range(len(scene_views)), scene_views, q_split[0::2], q_split[1::2],
+    per_scene = _threads.thread_map(
+        lambda args: _scene_objective(state, step, lam, *args),
+        zip(range(len(scene_views)), scene_views, q_split[0::2], q_split[1::2]),
+        workers,
     )
     for scene_terms, contributions in per_scene:
         for key, value in scene_terms.items():
@@ -535,12 +527,13 @@ def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState,
     step = state.step
     state.params.check_finite()
     state.teacher.params.check_finite()
-    with _scene_map([len(scene) for scene in scenes]) as scene_map:
-        scene_views = list(scene_map(
-            lambda i, scene: make_views(scene, _derive_seed(config, step, i, 0), config.views),
-            range(len(scenes)), scenes,
-        ))
-        terms, total, grads, q_all = _objective(state, scene_views, step, scene_map)
+    big = sum(map(len, scenes)) >= PARALLEL_MIN_SCENE_POINTS * len(scenes)
+    workers = _threads.usable_cpus() if big else 1
+    scene_views = _threads.thread_map(
+        lambda i: make_views(scenes[i], _derive_seed(config, step, i, 0), config.views),
+        range(len(scenes)), workers,
+    )
+    terms, total, grads, q_all = _objective(state, scene_views, step, workers)
     if not np.isfinite(total):
         raise FloatingPointError(
             f"non-finite loss at step {step}: {terms}; aborting (batch of {len(scenes)} scenes)"

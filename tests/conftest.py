@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from pointssl import PointCloud, SceneSpec, generate_room, geometry
+from pointssl import PointCloud, SceneSpec, _threads, generate_room
 
 
 def make_cloud(positions, **kwargs) -> PointCloud:
@@ -38,18 +38,18 @@ def big_room():
     return cloud
 
 
-def force_row_threads(monkeypatch, cpus: int) -> set:
-    """Make geometry's row-parallel stages see `cpus` usable CPUs; return the
-    set of threads their row blocks ran on."""
+def force_threads(monkeypatch, cpus: int) -> set:
+    """Make every thread_map caller see `cpus` usable CPUs; return the set of
+    threads its items ran on."""
     threads = set()
-    row_map = geometry._row_map
+    thread_map = _threads.thread_map
 
-    def recording_row_map(fn, n):
-        def block(rows):
+    def recording_thread_map(fn, items, workers):
+        def item_fn(item):
             threads.add(threading.get_ident())
-            return fn(rows)
-        return row_map(block, n)
+            return fn(item)
+        return thread_map(item_fn, items, workers)
 
-    monkeypatch.setattr(geometry, "_row_map", recording_row_map)
-    monkeypatch.setattr(geometry, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_threads, "thread_map", recording_thread_map)
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
     return threads

@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from pointssl import EmptyCloudError, PointCloud, estimate_normals
 
-from conftest import force_row_threads, make_cloud, toy_room
+from conftest import force_threads, make_cloud, toy_room
 
 
 def reference_normals(cloud, k):
@@ -113,7 +113,7 @@ def test_bit_identical_to_reference():
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
-    threads = force_row_threads(monkeypatch, cpus)
+    threads = force_threads(monkeypatch, cpus)
     out, degenerate = estimate_normals(big_room, k=16, return_degenerate=True)
     if cpus == 1:
         assert threads == {threading.get_ident()}

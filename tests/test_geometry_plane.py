@@ -7,7 +7,7 @@ import pytest
 from pointssl import EmptyCloudError, detect_dominant_plane, geometry
 from pointssl.rng import make_rng
 
-from conftest import force_row_threads, make_cloud
+from conftest import force_threads, make_cloud
 
 
 def reference_hypotheses(points, iterations, seed):
@@ -154,10 +154,10 @@ def reference_inlier_counts(points, normals, offsets, inlier_threshold):
 class TestRowThreads:
     @pytest.mark.parametrize("cpus", [8, 2, 1])
     def test_counts_match_whole_matrix_scoring(self, big_room, monkeypatch, cpus):
-        # The row blocks share one buffer.  More workers than CPUs, switching
-        # as often as the interpreter allows, give a block writing into rows
-        # of another the most chances to change a count.
-        threads = force_row_threads(monkeypatch, cpus)
+        # More workers than CPUs, switching as often as the interpreter
+        # allows, give a block that wrote into another's scratch the most
+        # chances to change a count.
+        threads = force_threads(monkeypatch, cpus)
         points = big_room.positions
         # 300 hypotheses: the last block of 128 is a short one
         normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
@@ -179,7 +179,7 @@ class TestRowThreads:
     def test_threads_match_inline(self, big_room, monkeypatch):
         planes = []
         for cpus in (2, 1):
-            threads = force_row_threads(monkeypatch, cpus)
+            threads = force_threads(monkeypatch, cpus)
             planes.append(detect_dominant_plane(big_room, 512, 0.02, seed=7))
             assert (threading.get_ident() in threads) == (cpus == 1)
         threaded, inline = planes

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from pointssl import PointCloud, sor_filter
 from pointssl.geometry import mean_knn_distances
 
-from conftest import force_row_threads, make_cloud, toy_room
+from conftest import force_threads, make_cloud, toy_room
 
 
 def brute_force_sor_survivors(points, k, std_mult):
@@ -114,7 +114,7 @@ def test_mean_knn_distances_bit_identical_to_reference():
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
-    threads = force_row_threads(monkeypatch, cpus)
+    threads = force_threads(monkeypatch, cpus)
     points = big_room.positions
     means = mean_knn_distances(points, 16)
     survivors = sor_filter(big_room, k=16, std_mult=2.0)

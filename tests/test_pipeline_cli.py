@@ -24,7 +24,7 @@ from pointssl.pipeline import (
     pca_colors,
 )
 
-from conftest import force_row_threads, toy_room
+from conftest import force_threads, toy_room
 
 
 class TestAlignScene:
@@ -108,11 +108,11 @@ class TestCliAlign:
             write_ply(scenes / f"s{i}.ply",
                       toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000))
         config = PipelineConfig(downsample_points=2500)
-        force_row_threads(monkeypatch, cpus=1)
+        force_threads(monkeypatch, cpus=1)
         serial = cli_align(scenes, tmp_path / "o1", config)
         assert all(config.downsample_points - r.sor_removed > 2 * geometry._ROW_BLOCK
                    for r in serial.rows)
-        threads = force_row_threads(monkeypatch, cpus=2)
+        threads = force_threads(monkeypatch, cpus=2)
         parallel = cli_align(scenes, tmp_path / "o2", config, jobs=2)
         assert threads and threading.get_ident() not in threads
         for a, b in zip(serial.rows, parallel.rows, strict=True):
@@ -235,8 +235,16 @@ class TestCliCommands:
          {"config.json": "{"}, "Expecting"),
         (["align", "--config", "config.json", "--input", "scenes", "--output", "out"],
          {"config.json": "{"}, "Expecting"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--points", "0"], {},
+         "max_points must lie in [1, inf)"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--density", "-5"], {},
+         "surface_density must lie in (0, inf)"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--outlier-fraction", "-0.5"], {},
+         "outlier_count must lie in [0, inf)"),
+        (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
-            "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json"])
+            "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
+            "points-0", "density-negative", "outlier-fraction-negative", "trials-0"])
     def test_malformed_input_exits_1_with_its_message(
         self, tmp_path, monkeypatch, caplog, argv, files, message
     ):
@@ -246,6 +254,16 @@ class TestCliCommands:
             (tmp_path / name).write_text(text)
         assert main(argv) == 1
         assert message in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ["sinkhorn", "--input", "in.csv", "--strict"],
+        ["export-pca", "--checkpoint", "m", "--scene", "s", "--out", "o", "--strict"],
+    ], ids=["sinkhorn", "export-pca"])
+    def test_strict_only_where_there_is_a_seed(self, argv):
+        # neither subcommand takes --seed, so --strict could only ever fail
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_strict_requires_seed(self, tmp_path):
         assert main([

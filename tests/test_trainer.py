@@ -19,6 +19,8 @@ from pointssl import trainer
 from pointssl.rng import make_rng
 from pointssl.trainer import _derive_seed, apply_update, step_objective
 
+from conftest import force_threads
+
 
 def _toy_config(**overrides):
     defaults = dict(
@@ -70,6 +72,24 @@ class TestConfig:
         assert rebuilt.teacher_temperature == config.teacher_temperature
         assert rebuilt.views == config.views
         assert rebuilt.hidden == config.hidden
+
+    def test_schedule_values_survive_the_roundtrip(self):
+        config = _toy_config(
+            total_steps=100,
+            teacher_temperature=Schedule("linear", 0.04, 0.07, total_steps=100),
+            ema_momentum=Schedule("cosine", 0.9, 1.0, total_steps=100),
+        )
+        rebuilt = TrainConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        for name in ("teacher_temperature", "laplacian_schedule", "ema_momentum", "weight_decay"):
+            for step in (0, 5, 50, 100):
+                assert (getattr(rebuilt, name).value_at(step)
+                        == getattr(config, name).value_at(step)), (name, step)
+
+    def test_schedule_over_another_span_is_rejected(self):
+        # to_dict drops a schedule's span, so its copy would run over 100 steps
+        with pytest.raises(ValueError, match="teacher_temperature spans 10 steps"):
+            _toy_config(total_steps=100,
+                        teacher_temperature=Schedule("linear", 0.04, 0.07, total_steps=10))
 
     def test_partial_dict_uses_defaults(self):
         config = TrainConfig.from_dict({"total_steps": 50})
@@ -239,28 +259,14 @@ def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
 
 
 class TestSceneThreads:
-    @staticmethod
-    def _force(monkeypatch, threaded):
-        """Run train_step's scenes on a 2-thread pool, or inline; return the
-        set of threads make_views ran on."""
-        threads = set()
-        make_views_inline = trainer.make_views
-
-        def recording_make_views(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return make_views_inline(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "make_views", recording_make_views)
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(
-            trainer, "PARALLEL_MIN_SCENE_POINTS", 0 if threaded else float("inf")
-        )
-        return threads
-
     def test_threads_match_inline_bitwise(self, toy_scenes, monkeypatch):
         runs = []
         for threaded in (True, False):
-            threads = self._force(monkeypatch, threaded)
+            # train_step's scenes on 2 threads, or inline
+            threads = force_threads(monkeypatch, cpus=2)
+            monkeypatch.setattr(
+                trainer, "PARALLEL_MIN_SCENE_POINTS", 0 if threaded else float("inf")
+            )
             state = init_train_state(_toy_config(total_steps=4, batch_size=3))
             records = []
             for step in range(3):
@@ -285,7 +291,8 @@ class TestSceneThreads:
         assert a.adam_t == b.adam_t == 3 and a.step == b.step == 3
 
     def test_scene_error_on_a_thread_reaches_the_caller(self, toy_scenes, monkeypatch):
-        threads = self._force(monkeypatch, threaded=True)
+        threads = force_threads(monkeypatch, cpus=2)
+        monkeypatch.setattr(trainer, "PARALLEL_MIN_SCENE_POINTS", 0)
         state = init_train_state(_toy_config(total_steps=4, batch_size=3))
         tiny = toy_scenes[0].select(np.arange(100))
         with pytest.raises(ValueError, match="need at least 256"):
