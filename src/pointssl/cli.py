@@ -2,8 +2,8 @@
 
 Subcommands: align, gen-scenes, train-toy, gradcheck, sinkhorn, export-pca.
 Exit codes: 0 success (warnings allowed), 1 configuration error or malformed
-input file, 2 hard per-scene failure under --strict.  The subcommands that
-take --seed also take --strict, which makes the seed required.
+input file, 2 hard per-scene failure under --strict.  align, gen-scenes and
+train-toy take --seed and --strict, which makes the seed required.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,24 +83,29 @@ def _cmd_gen_scenes(args) -> int:
     from .rng import make_rng
     from .scenes import SceneSpec, generate_room
 
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
+    if not 0.0 <= args.tilt_max <= 180.0:
+        raise ValueError(f"--tilt-max must lie in [0, 180], got {args.tilt_max}")
     seed = 0 if args.seed is None else args.seed
+    approx_surface = 2 * args.extents[0] * args.extents[1] + \
+        2 * (args.extents[0] + args.extents[1]) * args.extents[2]
+    # Checks the options, the seed included, before the seed draws any tilt.
+    base = SceneSpec(
+        extents=tuple(args.extents),
+        surface_density=args.density,
+        ghost_fraction=args.ghost_fraction,
+        outlier_count=int(args.outlier_fraction * args.density * approx_surface),
+        hole_count=args.holes,
+        max_points=args.points,
+        seed=seed,
+    )
+    rng = make_rng(seed, 99)
+    specs = [replace(base, tilt_degrees=float(rng.uniform(0.0, args.tilt_max)), seed=seed + i)
+             for i in range(args.count)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = make_rng(seed, 99)
-    for i in range(args.count):
-        tilt = float(rng.uniform(0.0, args.tilt_max)) if args.tilt_max > 0 else 0.0
-        approx_surface = 2 * args.extents[0] * args.extents[1] + \
-            2 * (args.extents[0] + args.extents[1]) * args.extents[2]
-        spec = SceneSpec(
-            extents=tuple(args.extents),
-            surface_density=args.density,
-            ghost_fraction=args.ghost_fraction,
-            outlier_count=int(args.outlier_fraction * args.density * approx_surface),
-            hole_count=args.holes,
-            tilt_degrees=tilt,
-            max_points=args.points,
-            seed=seed + i,
-        )
+    for i, spec in enumerate(specs):
         cloud, truth = generate_room(spec)
         write_ply(out / f"scene_{i:04d}.ply", cloud)
         sidecar = {
@@ -110,7 +116,7 @@ def _cmd_gen_scenes(args) -> int:
             "labels": truth.labels.tolist(),
         }
         (out / f"scene_{i:04d}.json").write_text(json.dumps(sidecar))
-        print(f"scene_{i:04d}: {len(cloud)} points, tilt {tilt:.2f} deg")
+        print(f"scene_{i:04d}: {len(cloud)} points, tilt {spec.tilt_degrees:.2f} deg")
     return 0
 
 
@@ -157,7 +163,6 @@ def _add_gradcheck(subparsers):
     p = subparsers.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action="store_true")
 
 
 def _cmd_gradcheck(args) -> int:

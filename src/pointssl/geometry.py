@@ -37,18 +37,17 @@ class DegenerateGeometryError(GeometryError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable point set with optional colors, normals, and validity mask.
+    """Immutable point set with optional colors and normals.
 
     positions are meters, float64, shape (N, 3).  colors are in [0, 1],
     normals are unit vectors; both optional and, when present, the same
-    length as positions.  Points with valid=False are ignored by every
-    geometric operation.
+    length as positions.  Every point takes part in every geometric
+    operation; to leave some out, select the others.
     """
 
     positions: np.ndarray
     colors: np.ndarray | None = None
     normals: np.ndarray | None = None
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         pos = frozen_array(self.positions, np.float64)
@@ -76,20 +75,13 @@ class PointCloud:
                 raise ValueError("normals must have unit norm within 1e-6")
             object.__setattr__(self, "normals", nrm)
 
-        v = frozen_array(np.ones(n, dtype=bool) if self.valid is None else self.valid, bool)
-        if v.shape != (n,):
-            raise ValueError(f"valid mask must have shape ({n},), got {v.shape}")
-        object.__setattr__(self, "valid", v)
-
     def __len__(self) -> int:
         return len(self.positions)
 
     @property
     def num_valid(self) -> int:
-        return int(self.valid.sum())
-
-    def valid_positions(self) -> np.ndarray:
-        return self.positions[self.valid]
+        # perfbench/spans.py's observe_sor reads this name.
+        return len(self.positions)
 
     def select(self, index: np.ndarray) -> "PointCloud":
         """Subset every per-point array by a boolean mask or index array."""
@@ -97,7 +89,6 @@ class PointCloud:
             positions=self.positions[index],
             colors=None if self.colors is None else self.colors[index],
             normals=None if self.normals is None else self.normals[index],
-            valid=self.valid[index],
         )
 
 
@@ -270,22 +261,21 @@ def build_knn_graph(
     distances, otherwise the given fixed value is used.
 
     Raises:
-        EmptyCloudError: fewer than 2 valid points.
-        DegenerateGeometryError: all valid points coincide (sigma would be 0).
+        EmptyCloudError: fewer than 2 points.
+        DegenerateGeometryError: all points coincide (sigma would be 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
-    valid_idx = np.flatnonzero(cloud.valid)
-    if valid_idx.size < 2:
-        raise EmptyCloudError("kNN graph needs at least 2 valid points")
-
-    pts = cloud.positions[valid_idx]
+    pts = cloud.positions
     n = len(pts)
+    if n < 2:
+        raise EmptyCloudError("kNN graph needs at least 2 points")
+
     tree = cKDTree(pts)
     if tree.query_ball_point(pts[0], r=0.0, return_length=True) == n:
-        raise DegenerateGeometryError("all valid points coincide; sigma would be 0")
+        raise DegenerateGeometryError("all points coincide; sigma would be 0")
     # The tree keeps only distances strictly below its bound; the inflated
     # bound still returns every neighbor the exact filter below keeps.
     nbr = _bounded_knn(tree, k, max_radius * (1.0 + 1e-9))
@@ -301,7 +291,7 @@ def build_knn_graph(
         sigma_val = float(sigma) if sigma != "adaptive" else float("nan")
         return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
                         np.empty(0), np.empty(0), sigma_val, float(max_radius),
-                        num_nodes=len(cloud))
+                        num_nodes=n)
 
     if sigma == "adaptive":
         sigma_val = float(np.median(dvals))
@@ -313,13 +303,13 @@ def build_knn_graph(
     weights = np.exp(-((dvals / sigma_val) ** 2))
     return KnnGraph(
         k=k,
-        source=valid_idx[src],
-        target=valid_idx[tgt],
+        source=src,
+        target=tgt,
         distance=dvals,
         weight=weights,
         sigma=sigma_val,
         max_radius=float(max_radius),
-        num_nodes=len(cloud),
+        num_nodes=n,
     )
 
 
@@ -338,22 +328,18 @@ def sor_filter(cloud: PointCloud, k: int = 16, std_mult: float = 2.0) -> PointCl
 
     Removes points whose mean distance to their k nearest neighbors exceeds
     the global mean of those per-point means by more than std_mult population
-    standard deviations.  Survivor order is preserved; invalid points are
-    dropped.  With k or fewer valid points the cloud is returned unchanged
-    and a warning is emitted.
+    standard deviations.  Survivor order is preserved.  With k or fewer points
+    the cloud is returned unchanged and a warning is emitted.
     """
     if not std_mult > 0.0:
         raise ValueError("std_mult must be positive")
-    valid_idx = np.flatnonzero(cloud.valid)
-    if valid_idx.size <= k:
-        warnings.warn(
-            f"SOR skipped: {valid_idx.size} valid points <= k={k}", stacklevel=2
-        )
+    if len(cloud) <= k:
+        warnings.warn(f"SOR skipped: {len(cloud)} points <= k={k}", stacklevel=2)
         return cloud
 
-    means = mean_knn_distances(cloud.positions[valid_idx], k)
+    means = mean_knn_distances(cloud.positions, k)
     threshold = means.mean() + std_mult * means.std()
-    return cloud.select(valid_idx[means <= threshold])
+    return cloud.select(means <= threshold)
 
 
 def _fit_plane_svd(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -403,13 +389,13 @@ def detect_dominant_plane(
     Samples 3 points per iteration, keeps the hypothesis supporting the most
     points within inlier_threshold, then refits that plane to its inliers via
     the centroid and smallest singular direction.  Returns None when the
-    refit plane supports fewer than min_inlier_ratio of the valid points
+    refit plane supports fewer than min_inlier_ratio of the points
     (including the all-collinear case).  Deterministic for a fixed seed.
     """
-    pts = cloud.valid_positions()
+    pts = cloud.positions
     n = len(pts)
     if n < 3:
-        raise EmptyCloudError("plane detection needs at least 3 valid points")
+        raise EmptyCloudError("plane detection needs at least 3 points")
 
     rng = make_rng(seed)
     samples = np.empty((iterations, 3), dtype=np.int64)
@@ -484,7 +470,7 @@ def align_z_up(
     and the residual correction applied.  Returns the transformed cloud and
     the composed transform (scale = 1).
     """
-    pts = cloud.valid_positions()
+    pts = cloud.positions
     normal = np.asarray(plane.normal, dtype=np.float64)
     offset = float(plane.offset)
 
@@ -511,8 +497,8 @@ def align_z_up(
 
 
 def aabb_diagonal(cloud: PointCloud) -> float:
-    """Diagonal length of the axis-aligned bounding box of the valid points."""
-    pts = cloud.valid_positions()
+    """Diagonal length of the axis-aligned bounding box of the points."""
+    pts = cloud.positions
     if len(pts) == 0:
         raise EmptyCloudError("aabb_diagonal of an empty cloud")
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -526,7 +512,7 @@ def scale_align(cloud: PointCloud, s_target: float) -> tuple[PointCloud, RigidSi
     if diagonal <= 0.0:
         raise DegenerateGeometryError("cannot scale a cloud with zero diagonal")
     alpha = s_target / diagonal
-    centroid = cloud.valid_positions().mean(axis=0)
+    centroid = cloud.positions.mean(axis=0)
     transform = RigidSimilarity(np.eye(3), (1.0 - alpha) * centroid, alpha)
     return _transform_cloud(cloud, transform), transform
 
@@ -545,11 +531,10 @@ def estimate_normals(
     neighborhoods get normal +Z and are flagged; pass return_degenerate=True
     to receive the flag array.
     """
-    valid_idx = np.flatnonzero(cloud.valid)
-    if valid_idx.size <= k:
-        raise EmptyCloudError(f"normal estimation needs more than k={k} valid points")
+    pts = cloud.positions
+    if len(pts) <= k:
+        raise EmptyCloudError(f"normal estimation needs more than k={k} points")
 
-    pts = cloud.positions[valid_idx]
     nbr = _self_knn(pts, k + 1)
 
     def block_pca(rows):
@@ -574,12 +559,7 @@ def estimate_normals(
     normals *= sign[:, None]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-    full_normals = np.tile(np.array([0.0, 0.0, 1.0]), (len(cloud), 1))
-    full_normals[valid_idx] = normals
-    full_degenerate = np.ones(len(cloud), dtype=bool)
-    full_degenerate[valid_idx] = degenerate
-
-    out = replace(cloud, normals=full_normals)
+    out = replace(cloud, normals=normals)
     if return_degenerate:
-        return out, full_degenerate
+        return out, degenerate
     return out

@@ -152,11 +152,11 @@ def align_scene(
         keep.sort()
         cloud = cloud.select(keep)
 
-    before_sor = cloud.num_valid
+    before_sor = len(cloud)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cloud = sor_filter(cloud, k=config.sor_k, std_mult=config.sor_std_mult)
-    report.sor_removed = before_sor - cloud.num_valid
+    report.sor_removed = before_sor - len(cloud)
 
     threshold = min(
         config.ransac_threshold_fraction * aabb_diagonal(cloud),
@@ -256,6 +256,5 @@ def export_pca(embeddings: np.ndarray, cloud: PointCloud, path) -> None:
         positions=cloud.positions,
         colors=pca_colors(embeddings),
         normals=cloud.normals,
-        valid=cloud.valid,
     )
     write_ply(path, colored)

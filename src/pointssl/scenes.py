@@ -37,24 +37,28 @@ class SceneSpec:
     # even after ghost duplication and downsampling
     extents: tuple[float, float, float] = within((5.0, 4.0, 2.2), "(0, inf)")
     surface_density: float = within(500.0, "(0, inf)")  # points per square meter
-    ceiling_coverage: float = 0.6    # ceiling density relative to the floor
-    furniture_count: int = 3
-    furniture_size_min: float = 0.3
-    furniture_size_max: float = 1.2
-    surface_noise: float = 0.005
+    ceiling_coverage: float = within(0.6, "[0, inf)")  # ceiling density relative to the floor
+    furniture_count: int = within(3, "[0, inf)")
+    furniture_size_min: float = within(0.3, "(0, inf)")  # box sides, meters
+    furniture_size_max: float = within(1.2, "(0, inf)")
+    surface_noise: float = within(0.005, "[0, inf)")  # a standard deviation
     outlier_count: int = within(0, "[0, inf)")
-    outlier_radius: float = 6.0
+    outlier_radius: float = within(6.0, "[0, inf)")
     ghost_fraction: float = within(0.0, "[0, 1]")
-    ghost_offset: float = 0.05
-    hole_count: int = 0
-    hole_radius: float = 0.3
-    tilt_degrees: float = 0.0
+    # along the surface normal: a ghost may sit on either side of its surface
+    ghost_offset: float = within(0.05, "(-inf, inf)")
+    hole_count: int = within(0, "[0, inf)")
+    # compared squared, so a negative radius would punch holes of its magnitude
+    hole_radius: float = within(0.3, "[0, inf)")
+    tilt_degrees: float = within(0.0, "[0, 180]")  # the angle from +Z to the true up axis
     scale: float = within(1.0, "(0, inf)")
     max_points: int = within(20000, "[1, inf)")
-    seed: int = 0
+    seed: int = within(0, "[0, inf)")  # a SeedSequence entropy word
 
     def __post_init__(self):
         check_fields(self)
+        if self.furniture_size_min > self.furniture_size_max:
+            raise ValueError("furniture_size_min must not exceed furniture_size_max")
 
 
 @dataclass(frozen=True)

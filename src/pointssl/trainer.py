@@ -118,8 +118,11 @@ class TrainConfig:
     teacher_temperature: Schedule | dict | float = within(
         lambda: {"kind": "linear", "start": 0.04, "end": 0.07}, "(0, inf)"
     )
+    # The loss weights, this and the four *_weight fields: Adam divides out the
+    # gradient's scale, so only their ratios matter, and near 1e200 the squared
+    # gradient in Adam's second moment overflows.
     laplacian_schedule: Schedule | dict | float = within(
-        lambda: {"kind": "linear", "start": 2e-4, "end": 3e-3}, "[0, inf)"
+        lambda: {"kind": "linear", "start": 2e-4, "end": 3e-3}, "[0, 1e6]"
     )
     ema_momentum: Schedule | dict | float = within(
         lambda: {"kind": "cosine", "start": 0.994, "end": 1.0}, "[0, 1]"
@@ -128,10 +131,10 @@ class TrainConfig:
         lambda: {"kind": "linear", "start": 0.04, "end": 0.10}, "[0, inf)"
     )
 
-    unmask_weight: float = within(4.0, "[0, inf)")
-    mask_weight: float = within(2.0, "[0, inf)")
-    roll_weight: float = within(2.0, "[0, inf)")
-    consistency_weight: float = within(0.05, "[0, inf)")
+    unmask_weight: float = within(4.0, "[0, 1e6]")
+    mask_weight: float = within(2.0, "[0, 1e6]")
+    roll_weight: float = within(2.0, "[0, 1e6]")
+    consistency_weight: float = within(0.05, "[0, 1e6]")
     huber_delta: float = within(0.5, "(0, inf)")
     laplacian_form: str = HUBER_RESIDUAL
     laplacian_knn: int = within(24, "[1, inf)")
@@ -469,7 +472,7 @@ def _laplacian_objective(
         return None, None
     config = state.config
     cache_g1 = encode_features(state.params, g1.features)
-    cloud = PointCloud(g1.features[:, :3], valid=g1.valid)
+    cloud = PointCloud(g1.features[:, :3])
     graph = build_knn_graph(cloud, config.laplacian_knn, config.laplacian_max_radius)
     if not graph.num_edges:
         return None, None

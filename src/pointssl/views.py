@@ -36,11 +36,13 @@ class ViewConfig:
     global_crop_max: float = within(1.0, "(0, 1]")
     local_crop_min: float = within(0.10, "(0, 1]")
     local_crop_max: float = within(0.25, "(0, 1]")
-    jitter_sigma: float = within(0.005, "[0, inf)")
+    # Meters, like the xyz the encoder reads raw: past 1 m a perturbation
+    # buries a room's geometry, and near 300 m the encoder's sigmoid overflows.
+    jitter_sigma: float = within(0.005, "[0, 1]")
     color_jitter: float = within(0.05, "[0, inf)")
     grid_size: float = within(0.1, "(0, inf)")
     mask_ratio: float = within(0.3, "[0, 1]")
-    noise_sigma: float = within(0.01, "[0, inf)")
+    noise_sigma: float = within(0.01, "[0, 1]")  # meters, bounded as jitter_sigma
     noise_dropout: float = within(0.1, "[0, 1)")
 
     def __post_init__(self):
@@ -56,16 +58,14 @@ class View:
 
     features is (N, 9), built by model.point_features: augmented xyz,
     jittered rgb and rotated normals, with zero columns where the scene has no
-    colors or normals; valid holds the scene's mask rows.
-    source_indices map every view point back into the scene;
-    original_positions are the scene-frame coordinates.  The applied
+    colors or normals.  source_indices map every view point back into the
+    scene; original_positions are the scene-frame coordinates.  The applied
     transform is p_view = rotation @ (flip * p_orig) + jitter, with the drawn
     jitter stored so it can be excluded when inverting.  A View takes its
     arrays over and marks them read-only.
     """
 
     features: np.ndarray
-    valid: np.ndarray
     source_indices: np.ndarray
     original_positions: np.ndarray
     rotation: np.ndarray
@@ -123,7 +123,7 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
         colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
     normals = None if scene.normals is None else (scene.normals[indices] * flip) @ rotation.T
     features = point_features((original * flip) @ rotation.T + jitter, colors, normals)
-    return View(features, scene.valid[indices], indices, original, rotation, flip, jitter)
+    return View(features, indices, original, rotation, flip, jitter)
 
 
 def grid_mask(
@@ -180,8 +180,8 @@ def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
         positions = features[:, :3] + rng.normal(0.0, sigma, size=(len(kept), 3))
         jitter += positions - features[:, :3]
         features[:, :3] = positions
-    return View(features, view.valid[kept], view.source_indices[kept],
-                view.original_positions[kept], view.rotation, view.flip, jitter)
+    return View(features, view.source_indices[kept], view.original_positions[kept],
+                view.rotation, view.flip, jitter)
 
 
 def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) -> ViewSet:

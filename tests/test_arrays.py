@@ -46,5 +46,5 @@ def test_conversion_copy_is_adopted_and_lists_are_copied():
 def test_replace_keeps_the_fields_it_does_not_change():
     cloud = PointCloud(np.zeros((3, 3)), colors=np.full((3, 3), 0.5))
     moved = replace(cloud, positions=cloud.positions + 1.0)
-    assert moved.colors is cloud.colors and moved.valid is cloud.valid
+    assert moved.colors is cloud.colors
     assert np.array_equal(moved.positions, np.ones((3, 3)))

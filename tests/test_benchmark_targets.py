@@ -5,7 +5,7 @@ pointssl.pipeline calls it through.  A refactor that inlines or renames such
 a call would leave the layer reported as 0 ms rather than fail, so this
 checks every workload's targets resolve.  An observer that no longer fits a
 layer's arguments or result is likewise only reported as broken, so one
-traced train step checks the observers too.
+traced train step and one traced alignment check the observers too.
 """
 
 import importlib
@@ -40,3 +40,22 @@ def test_traced_train_step_breaks_no_observer(perfbench_modules, tmp_path):
         tracer.remove()
     assert tracer.broken == set()
     assert tracer.counts["sinkhorn.rows"] > 0
+
+
+def test_traced_align_op_breaks_no_observer(perfbench_modules, tmp_path, monkeypatch):
+    workloads, spans = perfbench_modules
+    monkeypatch.setattr(workloads, "ALIGN_SCENES", 2)
+    monkeypatch.setattr(workloads, "ALIGN_POINTS", 4000)
+    w = workloads.AlignWorkload()
+    w.setup(1, tmp_path)
+    tracer = spans.Tracer(w.targets)
+    tracer.install()
+    try:
+        out = tracer.call(w.root, w.op)
+    finally:
+        tracer.remove()
+    assert w.check(out)
+    assert tracer.broken == set()
+    assert tracer.counts["geometry.sor_input"] > 0
+    assert tracer.counts["geometry.ransac_calls"] == 1
+    assert tracer.counts["ply.read_bytes"] > 0 and tracer.counts["ply.write_bytes"] > 0

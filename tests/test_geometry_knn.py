@@ -6,7 +6,6 @@ import pytest
 from pointssl import (
     DegenerateGeometryError,
     EmptyCloudError,
-    PointCloud,
     build_knn_graph,
 )
 
@@ -58,9 +57,6 @@ def test_coincident_points_degenerate():
 def test_too_few_points():
     with pytest.raises(EmptyCloudError):
         build_knn_graph(make_cloud([[0, 0, 0]]), k=1, max_radius=1.0)
-    cloud = PointCloud(positions=[[0, 0, 0], [1, 1, 1]], valid=[True, False])
-    with pytest.raises(EmptyCloudError):
-        build_knn_graph(cloud, k=1, max_radius=1.0)
 
 
 def test_fixed_sigma_mode():
@@ -99,16 +95,6 @@ def test_edge_invariants():
     # weight equals exp(-1) exactly where distance equals sigma
     at_sigma = np.exp(-((graph.distance / graph.sigma) ** 2))
     np.testing.assert_array_equal(graph.weight, at_sigma)
-
-
-def test_invalid_points_get_no_edges():
-    rng = np.random.default_rng(3)
-    points = rng.uniform(0, 1, (50, 3))
-    valid = np.ones(50, dtype=bool)
-    valid[[4, 10, 30]] = False
-    graph = build_knn_graph(PointCloud(positions=points, valid=valid), k=3, max_radius=2.0)
-    for bad in (4, 10, 30):
-        assert bad not in graph.source and bad not in graph.target
 
 
 def assert_matches_oracle(points, k, radius):

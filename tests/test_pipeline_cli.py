@@ -241,10 +241,18 @@ class TestCliCommands:
          "surface_density must lie in (0, inf)"),
         (["gen-scenes", "--out", "out", "--count", "1", "--outlier-fraction", "-0.5"], {},
          "outlier_count must lie in [0, inf)"),
+        (["gen-scenes", "--out", "out", "--count", "-2"], {}, "--count must be non-negative"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--holes", "-3"], {},
+         "hole_count must lie in [0, inf)"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--tilt-max", "-30"], {},
+         "--tilt-max must lie in [0, 180]"),
+        (["gen-scenes", "--out", "out", "--count", "1", "--seed", "-1"], {},
+         "seed must lie in [0, inf)"),
         (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
             "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
-            "points-0", "density-negative", "outlier-fraction-negative", "trials-0"])
+            "points-0", "density-negative", "outlier-fraction-negative", "count-negative",
+            "holes-negative", "tilt-max-negative", "seed-negative", "trials-0"])
     def test_malformed_input_exits_1_with_its_message(
         self, tmp_path, monkeypatch, caplog, argv, files, message
     ):
@@ -252,15 +260,19 @@ class TestCliCommands:
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_text(text)
+        before = set(tmp_path.rglob("*"))
         assert main(argv) == 1
         assert message in caplog.text
+        assert set(tmp_path.rglob("*")) == before  # no output, not even an empty --out
 
     @pytest.mark.parametrize("argv", [
         ["sinkhorn", "--input", "in.csv", "--strict"],
         ["export-pca", "--checkpoint", "m", "--scene", "s", "--out", "o", "--strict"],
-    ], ids=["sinkhorn", "export-pca"])
+        ["gradcheck", "--trials", "1", "--strict"],
+    ], ids=["sinkhorn", "export-pca", "gradcheck"])
     def test_strict_only_where_there_is_a_seed(self, argv):
-        # neither subcommand takes --seed, so --strict could only ever fail
+        # sinkhorn and export-pca take no --seed and gradcheck's defaults to 0,
+        # so --strict could only ever fail or never fire
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -332,6 +344,14 @@ class TestCliCommands:
         ("correspondence_cutoff", float("nan")),
         ("weight_decay", -5.0),
         ("weight_decay", float("nan")),
+        ("unmask_weight", 1.7e308),
+        ("mask_weight", 1e7),
+        ("roll_weight", 1e300),
+        ("consistency_weight", 1e300),
+        ("laplacian_schedule", 1e300),
+        ("views", {"jitter_sigma": 1e300}),
+        ("views", {"noise_sigma": 1e300}),
+        ("views", {"noise_sigma": 2.0}),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

@@ -74,6 +74,27 @@ def test_floor_dominance_enforced():
         generate_room(bad)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("hole_radius", -1.0, "hole_radius must lie in [0, inf)"),
+    ("furniture_size_min", -1.0, "furniture_size_min must lie in (0, inf)"),
+    ("furniture_size_max", 0.0, "furniture_size_max must lie in (0, inf)"),
+    ("furniture_size_min", 2.0, "furniture_size_min must not exceed furniture_size_max"),
+    ("surface_noise", -0.1, "surface_noise must lie in [0, inf)"),
+    ("furniture_count", -2, "furniture_count must lie in [0, inf)"),
+    ("ceiling_coverage", -0.5, "ceiling_coverage must lie in [0, inf)"),
+    ("outlier_radius", -6.0, "outlier_radius must lie in [0, inf)"),
+    ("ghost_offset", float("nan"), "ghost_offset must lie in (-inf, inf)"),
+    ("hole_count", -1, "hole_count must lie in [0, inf)"),
+    ("tilt_degrees", -30.0, "tilt_degrees must lie in [0, 180]"),
+    ("tilt_degrees", 181.0, "tilt_degrees must lie in [0, 180]"),
+    ("seed", -1, "seed must lie in [0, inf)"),
+])
+def test_spec_rejects_numbers_out_of_range(name, value, message):
+    with pytest.raises(ValueError) as info:
+        SceneSpec(**{name: value})
+    assert message in str(info.value)
+
+
 def test_holes_remove_points():
     base = SceneSpec(hole_count=0, seed=8, max_points=10**9)
     holed = SceneSpec(hole_count=5, hole_radius=0.4, seed=8, max_points=10**9)

@@ -71,7 +71,6 @@ class TestMakeViews:
         np.testing.assert_array_equal(
             view.features[:, 6:], (scene.normals * view.flip) @ view.rotation.T
         )
-        np.testing.assert_array_equal(view.valid, scene.valid)
 
     def test_global_crops_cover_at_least_40_percent(self):
         scene = toy_room(seed=3)
@@ -223,7 +222,6 @@ class TestAddNoise:
         np.testing.assert_array_equal(
             noisy.original_positions, scene.positions[noisy.source_indices]
         )
-        np.testing.assert_array_equal(noisy.valid, scene.valid[noisy.source_indices])
         # the stored jitter absorbs the perturbation: inversion still works
         np.testing.assert_allclose(
             noisy.invert_positions(), noisy.original_positions, atol=1e-6
