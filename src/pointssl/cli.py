@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,20 +105,31 @@ def _cmd_gen_scenes(args) -> int:
     rng = make_rng(seed, 99)
     specs = [replace(base, tilt_degrees=float(rng.uniform(0.0, args.tilt_max)), seed=seed + i)
              for i in range(args.count)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, spec in enumerate(specs):
-        cloud, truth = generate_room(spec)
-        write_ply(out / f"scene_{i:04d}.ply", cloud)
-        sidecar = {
-            "up_axis": truth.up_axis.tolist(),
-            "diagonal": truth.diagonal,
-            "scale": truth.scale,
-            "tilt_rotation": truth.tilt_rotation.tolist(),
-            "labels": truth.labels.tolist(),
-        }
-        (out / f"scene_{i:04d}.json").write_text(json.dumps(sidecar))
-        print(f"scene_{i:04d}: {len(cloud)} points, tilt {spec.tilt_degrees:.2f} deg")
+    # A scene can still fail once its points are sampled, so the scenes are
+    # written to a staging directory and moved into --out only when all exist.
+    out = Path(args.out).absolute()
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out {args.out} exists and is not a directory")
+    anchor = next(parent for parent in out.parents if parent.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".gen-scenes-", dir=anchor))
+    try:
+        for i, spec in enumerate(specs):
+            cloud, truth = generate_room(spec)
+            write_ply(staging / f"scene_{i:04d}.ply", cloud)
+            sidecar = {
+                "up_axis": truth.up_axis.tolist(),
+                "diagonal": truth.diagonal,
+                "scale": truth.scale,
+                "tilt_rotation": truth.tilt_rotation.tolist(),
+                "labels": truth.labels.tolist(),
+            }
+            (staging / f"scene_{i:04d}.json").write_text(json.dumps(sidecar))
+            print(f"scene_{i:04d}: {len(cloud)} points, tilt {spec.tilt_degrees:.2f} deg")
+        out.mkdir(parents=True, exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            shutil.move(path, out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

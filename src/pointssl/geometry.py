@@ -187,7 +187,7 @@ def _exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
-def _self_knn(points: np.ndarray, k: int) -> np.ndarray:
+def self_knn(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, counting the point
     itself (or, among coincident duplicates, one of them in its place).
 
@@ -196,6 +196,17 @@ def _self_knn(points: np.ndarray, k: int) -> np.ndarray:
     """
     _, nbr = cKDTree(points).query(points, k=k, workers=_threads.usable_cpus())
     return nbr.reshape(len(points), k)
+
+
+def _neighborhoods(points: np.ndarray, k: int, neighbors: np.ndarray | None) -> np.ndarray:
+    """Each point's row of itself and its k nearest points: the first k + 1
+    columns of the given self-kNN rows, or a query when none are given."""
+    if neighbors is None:
+        return self_knn(points, k + 1)
+    if neighbors.ndim != 2 or len(neighbors) != len(points) or neighbors.shape[1] <= k:
+        raise ValueError(f"neighbors must have shape ({len(points)}, >= {k + 1}), "
+                         f"got {neighbors.shape}")
+    return neighbors[:, :k + 1]
 
 
 # Rows per block of the row-parallel stages.  Blocks of 128 to 4,096 rows
@@ -313,9 +324,13 @@ def build_knn_graph(
     )
 
 
-def mean_knn_distances(points: np.ndarray, k: int) -> np.ndarray:
-    """Per-point mean distance to the k nearest neighbors (self excluded)."""
-    nbr = _self_knn(points, k + 1)
+def mean_knn_distances(points: np.ndarray, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
+    """Per-point mean distance to the k nearest neighbors (self excluded).
+
+    neighbors, when given, are the points' self-kNN rows (self_knn) with at
+    least k + 1 columns, and no query runs.
+    """
+    nbr = _neighborhoods(points, k, neighbors)
 
     def block_means(rows):
         return _exact_distances(points[rows, None, :], points[nbr[rows]])[:, 1:].mean(axis=1)
@@ -323,23 +338,66 @@ def mean_knn_distances(points: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(_row_map(block_means, len(points)))
 
 
-def sor_filter(cloud: PointCloud, k: int = 16, std_mult: float = 2.0) -> PointCloud:
+def sor_filter(
+    cloud: PointCloud,
+    k: int = 16,
+    std_mult: float = 2.0,
+    neighbors: np.ndarray | None = None,
+    kept: np.ndarray | None = None,
+) -> PointCloud:
     """Statistical outlier removal.
 
     Removes points whose mean distance to their k nearest neighbors exceeds
     the global mean of those per-point means by more than std_mult population
     standard deviations.  Survivor order is preserved.  With k or fewer points
     the cloud is returned unchanged and a warning is emitted.
+
+    neighbors, when given, are the cloud's self-kNN rows (self_knn) with at
+    least k + 1 columns, and SOR runs no query of its own.  kept, when given,
+    is a boolean array of len(cloud) that receives which points survive.
+    align_scene passes both, so that one query serves SOR and the normals:
+    there a survivor's normal comes from its nearest SOR survivors in the
+    frame SOR saw (survivor_neighbors), not in the aligned frame.
     """
     if not std_mult > 0.0:
         raise ValueError("std_mult must be positive")
     if len(cloud) <= k:
         warnings.warn(f"SOR skipped: {len(cloud)} points <= k={k}", stacklevel=2)
+        if kept is not None:
+            kept[:] = True
         return cloud
 
-    means = mean_knn_distances(cloud.positions, k)
-    threshold = means.mean() + std_mult * means.std()
-    return cloud.select(means <= threshold)
+    means = mean_knn_distances(cloud.positions, k, neighbors)
+    survive = means <= means.mean() + std_mult * means.std()
+    if kept is not None:
+        kept[:] = survive
+    return cloud.select(survive)
+
+
+def survivor_neighbors(
+    neighbors: np.ndarray, kept: np.ndarray, survivors: np.ndarray, k: int
+) -> np.ndarray | None:
+    """Self-kNN rows of the kept points, renumbered to survivor indices.
+
+    neighbors are the self-kNN rows of the whole cloud, with at least k + 1
+    columns; kept marks the survivors and survivors holds their positions, in
+    the frame the rows were found in.  Each survivor's row is the first k + 1
+    entries of its own row when none of them was removed, and otherwise a
+    query on a tree over the survivors.  Either way it names the survivor and
+    its k nearest survivors, in the order of the rows' frame.  Returns None
+    when k or fewer points survive.
+    """
+    m = len(survivors)
+    if m <= k:
+        return None
+    index = np.cumsum(kept) - 1
+    index[~kept] = -1
+    rows = index[neighbors[kept, :k + 1]]
+    stale = np.flatnonzero((rows < 0).any(axis=1))
+    if stale.size:
+        tree = cKDTree(survivors)
+        rows[stale] = tree.query(survivors[stale], k=k + 1, workers=_threads.usable_cpus())[1]
+    return rows
 
 
 def _fit_plane_svd(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -521,6 +579,7 @@ def estimate_normals(
     cloud: PointCloud,
     k: int = 16,
     return_degenerate: bool = False,
+    neighbors: np.ndarray | None = None,
 ) -> PointCloud | tuple[PointCloud, np.ndarray]:
     """Per-point normals from local PCA over the k-nearest neighborhoods.
 
@@ -530,12 +589,18 @@ def estimate_normals(
     z component is below 1e-6, to non-negative x, then y.  Rank-deficient
     neighborhoods get normal +Z and are flagged; pass return_degenerate=True
     to receive the flag array.
+
+    neighbors, when given, are self-kNN rows of at least k + 1 columns that
+    name each point's neighborhood in place of a query.  align_scene passes
+    the rows of SOR's query (survivor_neighbors): there a neighborhood is the
+    k nearest SOR survivors in the input frame, which Z-up and scale reorder
+    only where their rounding breaks a tie of exact arithmetic.
     """
     pts = cloud.positions
     if len(pts) <= k:
         raise EmptyCloudError(f"normal estimation needs more than k={k} points")
 
-    nbr = _self_knn(pts, k + 1)
+    nbr = _neighborhoods(pts, k, neighbors)
 
     def block_pca(rows):
         centered = pts[nbr[rows]]

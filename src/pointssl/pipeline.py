@@ -30,7 +30,9 @@ from .geometry import (
     detect_dominant_plane,
     estimate_normals,
     scale_align,
+    self_knn,
     sor_filter,
+    survivor_neighbors,
 )
 from .ply import read_ply, write_ply
 from .rng import make_rng
@@ -82,11 +84,14 @@ class SceneReport:
     name: str
     input_points: int = 0
     sor_removed: int = 0
+    ransac_threshold: float | None = None  # meters, in the input frame
     plane_found: bool = False
+    inlier_ratio: float | None = None  # of the SOR survivors, within ransac_threshold
     angle_to_z_before: float | None = None
     angle_to_z_after: float | None = None
     alpha: float | None = None
     final_diagonal: float | None = None
+    degenerate_normals: int = 0  # rank-deficient neighborhoods, given normal +Z
     wall_time: float = 0.0
     error: str | None = None
 
@@ -152,16 +157,25 @@ def align_scene(
         keep.sort()
         cloud = cloud.select(keep)
 
+    # One self-kNN query serves SOR and, renumbered to the survivors, the
+    # normals; below its column count each stage queries (or fails) alone.
     before_sor = len(cloud)
+    columns = max(config.sor_k, config.normals_k) + 1
+    neighbors = self_knn(cloud.positions, columns) if before_sor >= columns else None
+    kept = np.empty(before_sor, bool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cloud = sor_filter(cloud, k=config.sor_k, std_mult=config.sor_std_mult)
+        cloud = sor_filter(cloud, k=config.sor_k, std_mult=config.sor_std_mult,
+                           neighbors=neighbors, kept=kept)
     report.sor_removed = before_sor - len(cloud)
+    if neighbors is not None:
+        neighbors = survivor_neighbors(neighbors, kept, cloud.positions, config.normals_k)
 
     threshold = min(
         config.ransac_threshold_fraction * aabb_diagonal(cloud),
         config.ransac_threshold_cap,
     )
+    report.ransac_threshold = threshold
     plane = detect_dominant_plane(
         cloud,
         iterations=config.ransac_iterations,
@@ -172,6 +186,7 @@ def align_scene(
     report.plane_found = plane is not None
     transform = RigidSimilarity.identity()
     if plane is not None:
+        report.inlier_ratio = plane.inlier_ratio
         report.angle_to_z_before = _angle_to_z_degrees(plane.normal)
         cloud, transform = align_z_up(cloud, plane, inlier_threshold=threshold)
         report.angle_to_z_after = _angle_to_z_degrees(transform.rotation @ plane.normal)
@@ -190,7 +205,9 @@ def align_scene(
     report.alpha = scale_transform.scale
     report.final_diagonal = aabb_diagonal(cloud)
 
-    cloud = estimate_normals(cloud, k=config.normals_k)
+    cloud, degenerate = estimate_normals(cloud, k=config.normals_k, return_degenerate=True,
+                                         neighbors=neighbors)
+    report.degenerate_normals = int(degenerate.sum())
     report.wall_time = time.perf_counter() - t_start
     return cloud, report, transform
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from pointssl import EmptyCloudError, estimate_normals
+from pointssl import EmptyCloudError, estimate_normals, sor_filter
+from pointssl.geometry import self_knn, survivor_neighbors
 
 from conftest import force_threads, make_cloud, toy_room
 
@@ -117,3 +118,33 @@ def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, c
     ref_normals, ref_degenerate = reference_normals(big_room, 16)
     assert np.array_equal(out.normals, ref_normals)
     assert np.array_equal(degenerate, ref_degenerate)
+
+
+@pytest.mark.parametrize("removed", [0.3, 0.01])
+@pytest.mark.parametrize("k", [16, 8, 24])
+def test_survivor_neighbors_equal_a_query_on_the_survivors(removed, k):
+    # With 30% removed most rows name a removed point and are queried again;
+    # with 1% most are the renumbered first k + 1 entries of a 25-column row.
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0, 1, (2000, 3))
+    kept = rng.random(len(points)) > removed
+    survivors = points[kept]
+    rows = survivor_neighbors(self_knn(points, 25), kept, survivors, k)
+    assert np.array_equal(rows, cKDTree(survivors).query(survivors, k=k + 1)[1])
+
+
+def test_survivor_neighbors_none_with_k_or_fewer_survivors():
+    points = np.random.default_rng(6).uniform(0, 1, (40, 3))
+    kept = np.zeros(40, bool)
+    kept[:8] = True
+    assert survivor_neighbors(self_knn(points, 9), kept, points[kept], 8) is None
+
+
+def test_neighbors_of_the_wrong_shape_rejected():
+    cloud = make_cloud(np.random.default_rng(7).uniform(0, 1, (50, 3)))
+    rows = self_knn(cloud.positions, 9)
+    for bad in (rows[:, :8], rows[:40], rows[0]):
+        with pytest.raises(ValueError, match="neighbors must have shape"):
+            estimate_normals(cloud, k=8, neighbors=bad)
+        with pytest.raises(ValueError, match="neighbors must have shape"):
+            sor_filter(cloud, k=8, neighbors=bad)

@@ -3,14 +3,19 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pointssl import (
+    PointCloud,
     SceneSpec,
     aabb_diagonal,
     detect_dominant_plane,
+    estimate_normals,
     generate_room,
     geometry,
+    pipeline,
     read_ply,
+    sor_filter,
     write_ply,
 )
 from pointssl.cli import main
@@ -51,13 +56,66 @@ class TestAlignScene:
         assert report.angle_to_z_after < 0.5
         assert abs(report.alpha - 1.0) < 0.01
 
+    @pytest.mark.parametrize("fields, trees", [
+        ({}, 1),
+        ({"sor_k": 8, "normals_k": 24}, 1),
+        ({"sor_k": 24, "normals_k": 8}, 1),
+        # SOR at 0.5 std removes points inside survivors' rows: a re-query
+        ({"sor_std_mult": 0.5}, 2),
+    ], ids=["default", "normals-k-above-sor-k", "sor-k-above-normals-k", "requery"])
+    def test_shared_query_equals_one_query_per_stage(self, monkeypatch, fields, trees):
+        cloud, _ = generate_room(SceneSpec(tilt_degrees=9.0, ghost_fraction=0.2,
+                                           outlier_count=100, seed=1, max_points=8000))
+        config = PipelineConfig(**fields)
+        builds = []
+
+        class CountedTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "cKDTree", CountedTree)
+        shared = align_scene(cloud, config, scene_seed=0, s_target=5.0)
+        assert len(builds) == trees
+        # The reference: SOR queries the downsampled cloud and the normals
+        # the aligned survivors, each on a tree of its own.
+        sor, normals = pipeline.sor_filter, pipeline.estimate_normals
+        monkeypatch.setattr(pipeline, "sor_filter",
+                            lambda c, neighbors=None, **kwargs: sor(c, **kwargs))
+        monkeypatch.setattr(pipeline, "estimate_normals",
+                            lambda c, neighbors=None, **kwargs: normals(c, **kwargs))
+        reference = align_scene(cloud, config, scene_seed=0, s_target=5.0)
+        (aligned, report, transform), (ref_aligned, ref_report, ref_transform) = shared, reference
+        assert np.array_equal(aligned.positions, ref_aligned.positions)
+        assert np.array_equal(aligned.normals, ref_aligned.normals)
+        assert {**report.to_dict(), "wall_time": 0} == {**ref_report.to_dict(), "wall_time": 0}
+        assert np.array_equal(transform.rotation, ref_transform.rotation)
+        assert np.array_equal(transform.translation, ref_transform.translation)
+        assert transform.scale == ref_transform.scale
+
+    def test_report_states_threshold_inliers_and_degenerate_normals(self):
+        room, _ = generate_room(SceneSpec(tilt_degrees=5.0, seed=4, max_points=6000))
+        # 30 coincident points: each one's neighborhood has no extent
+        cloud = PointCloud(np.concatenate([room.positions, np.tile(room.positions[:1], (30, 1))]))
+        config = PipelineConfig()
+        aligned, report, _ = align_scene(cloud, config, scene_seed=0, s_target=5.0)
+        survivors = sor_filter(cloud, k=config.sor_k, std_mult=config.sor_std_mult)
+        assert report.ransac_threshold == min(
+            config.ransac_threshold_fraction * aabb_diagonal(survivors),
+            config.ransac_threshold_cap)
+        plane = detect_dominant_plane(survivors, config.ransac_iterations,
+                                      report.ransac_threshold, seed=0,
+                                      min_inlier_ratio=config.min_inlier_ratio)
+        assert report.inlier_ratio == plane.inlier_ratio
+        _, degenerate = estimate_normals(PointCloud(aligned.positions), k=config.normals_k,
+                                         return_degenerate=True)
+        assert report.degenerate_normals == int(degenerate.sum()) >= 30
+
     def test_plane_failure_passthrough(self):
         rng = np.random.default_rng(3)
         directions = rng.normal(size=(4000, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         ball = directions * rng.random(4000)[:, None] ** (1 / 3)
-        from pointssl import PointCloud
-
         cloud = PointCloud(positions=ball)
         aligned, report, _ = align_scene(cloud, PipelineConfig(), scene_seed=0, s_target=2.0)
         assert not report.plane_found
@@ -123,13 +181,17 @@ class TestCliAlign:
         report = PipelineReport(rows=[
             SceneReport(name="a.ply", input_points=10, sor_removed=1, plane_found=True,
                         angle_to_z_before=5.0, angle_to_z_after=0.1, alpha=0.5,
-                        final_diagonal=8.0, wall_time=0.01),
+                        final_diagonal=8.0, wall_time=0.01, ransac_threshold=0.05,
+                        inlier_ratio=0.3, degenerate_normals=2),
             SceneReport(name="b.ply", error="boom"),
         ])
         rebuilt = PipelineReport.from_json(report.to_json())
         assert rebuilt == report
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0].startswith("name,")
+        assert {"ransac_threshold", "inlier_ratio", "degenerate_normals"} <= set(
+            csv_text.splitlines()[0].split(","))
+        assert "0.05" in csv_text.splitlines()[1] and ",0.3," in csv_text.splitlines()[1]
         assert len(csv_text.strip().splitlines()) == 3
 
 
@@ -185,6 +247,10 @@ class TestCliCommands:
         assert code == 0
         rows = json.loads(report_path.read_text())
         assert len(rows) == 2 and all(r["error"] is None for r in rows)
+        for row in rows:
+            assert 0.0 < row["ransac_threshold"] <= PipelineConfig().ransac_threshold_cap
+            assert PipelineConfig().min_inlier_ratio <= row["inlier_ratio"] <= 1.0
+            assert row["degenerate_normals"] >= 0
 
     def test_align_corrupt_not_strict_vs_strict(self, tmp_path):
         scenes = tmp_path / "s"
@@ -248,11 +314,20 @@ class TestCliCommands:
          "--tilt-max must lie in [0, 180]"),
         (["gen-scenes", "--out", "out", "--count", "1", "--seed", "-1"], {},
          "seed must lie in [0, inf)"),
+        (["gen-scenes", "--out", "gs", "--count", "2", "--extents", "0.5", "0.5", "4",
+          "--points", "2000"], {}, "floor is not the dominant plane"),
+        # scenes 0 to 2 pass and scene 3 fails once its points are sampled
+        (["gen-scenes", "--out", "gs/nested", "--count", "4", "--extents", "1", "1", "0.5",
+          "--points", "500", "--density", "100", "--seed", "0"], {},
+         "floor is not the dominant plane"),
+        (["gen-scenes", "--out", "scenes", "--count", "1", "--points", "500"],
+         {"scenes": "a file"}, "--out scenes exists and is not a directory"),
         (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
             "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
             "points-0", "density-negative", "outlier-fraction-negative", "count-negative",
-            "holes-negative", "tilt-max-negative", "seed-negative", "trials-0"])
+            "holes-negative", "tilt-max-negative", "seed-negative", "floor-not-dominant",
+            "last-scene-floor-not-dominant", "out-is-a-file", "trials-0"])
     def test_malformed_input_exits_1_with_its_message(
         self, tmp_path, monkeypatch, caplog, argv, files, message
     ):
