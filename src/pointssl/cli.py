@@ -106,12 +106,14 @@ def _cmd_gen_scenes(args) -> int:
     specs = [replace(base, tilt_degrees=float(rng.uniform(0.0, args.tilt_max)), seed=seed + i)
              for i in range(args.count)]
     # A scene can still fail once its points are sampled, so the scenes are
-    # written to a staging directory and moved into --out only when all exist.
+    # written to a staging directory and moved into --out, and listed, only
+    # when all exist.
     out = Path(args.out).absolute()
     if out.exists() and not out.is_dir():
         raise ValueError(f"--out {args.out} exists and is not a directory")
     anchor = next(parent for parent in out.parents if parent.is_dir())
     staging = Path(tempfile.mkdtemp(prefix=".gen-scenes-", dir=anchor))
+    lines = []
     try:
         for i, spec in enumerate(specs):
             cloud, truth = generate_room(spec)
@@ -124,12 +126,14 @@ def _cmd_gen_scenes(args) -> int:
                 "labels": truth.labels.tolist(),
             }
             (staging / f"scene_{i:04d}.json").write_text(json.dumps(sidecar))
-            print(f"scene_{i:04d}: {len(cloud)} points, tilt {spec.tilt_degrees:.2f} deg")
+            lines.append(f"scene_{i:04d}: {len(cloud)} points, tilt {spec.tilt_degrees:.2f} deg")
         out.mkdir(parents=True, exist_ok=True)
         for path in sorted(staging.iterdir()):
             shutil.move(path, out / path.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -187,21 +187,20 @@ def match_correspondences(
     teacher_positions: np.ndarray,
     student_positions: np.ndarray,
     max_distance: float = DEFAULT_CORRESPONDENCE_CUTOFF,
-    teacher_tree: cKDTree | None = None,
 ) -> CorrespondenceSet:
     """Nearest-teacher-point match for every student point, in a shared frame.
 
     Both position arrays must be expressed in the same pre-augmentation
-    frame.  Pairs farther apart than max_distance are dropped.  Callers
-    matching several student sets against one teacher set can pass a
-    prebuilt teacher_tree.
+    frame.  Pairs farther apart than max_distance are dropped.  Each student
+    row is matched on its own, so matching several student sets stacked into
+    one array gives each row the pair it would get alone.
     """
     teacher_positions = np.asarray(teacher_positions, dtype=np.float64)
     student_positions = np.asarray(student_positions, dtype=np.float64)
     if len(teacher_positions) == 0 or len(student_positions) == 0:
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
         return CorrespondenceSet(np.empty(0, np.int64), np.empty(0, np.int64))
-    tree = teacher_tree if teacher_tree is not None else cKDTree(teacher_positions)
+    tree = cKDTree(teacher_positions)
     # The tree keeps only distances strictly below its bound, so the bound is
     # inflated (or lifted when no positive cutoff exists) to keep every pair
     # the filter below keeps; unmatched rows come back with dist = inf.

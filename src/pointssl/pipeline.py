@@ -9,8 +9,6 @@ are isolated into report rows so a batch never dies on one bad input.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import time
@@ -109,19 +107,6 @@ class PipelineReport:
 
     def to_json(self) -> str:
         return json.dumps([r.to_dict() for r in self.rows], indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "PipelineReport":
-        return PipelineReport([SceneReport(**row) for row in json.loads(text)])
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        fields = [f for f in SceneReport.__dataclass_fields__]
-        writer = csv.DictWriter(buffer, fieldnames=fields)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row.to_dict())
-        return buffer.getvalue()
 
 
 def _angle_to_z_degrees(normal: np.ndarray) -> float:
@@ -232,9 +217,13 @@ def cli_align(
     """Align every PLY under input_dir into output_dir.
 
     Report rows come back in input order regardless of completion order;
-    unreadable files produce error rows and the batch continues.
+    unreadable files produce error rows and the batch continues.  An
+    input_dir that is not a directory raises ValueError before output_dir
+    is made.
     """
     input_dir = Path(input_dir)
+    if not input_dir.is_dir():
+        raise ValueError(f"input_dir {input_dir} is not a directory")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(input_dir.glob("*.ply"))

@@ -3,14 +3,13 @@
 Supported vertex properties: x, y, z as float32 or float64; optional
 red, green, blue as uint8 (mapped to [0, 1] by /255); optional nx, ny, nz
 as float32.  Unknown scalar properties are preserved on read and returned
-separately; they are dropped on write with a warning.  Binary writes are
-canonical, so write -> read -> write is byte-identical.
+separately; a write emits only positions, colors and normals.  Binary writes
+are canonical, so write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,20 +172,15 @@ def write_ply(
     cloud: PointCloud,
     binary: bool = True,
     position_dtype: str = "float32",
-    extras: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Write a PLY point cloud.
 
     Positions are written as float32 by default (pass position_dtype
     "float64" to keep full precision), colors as uint8, normals as float32.
-    Extra properties are not written; passing them warns.
+    Nothing else is written.
     """
     if position_dtype not in ("float32", "float64"):
         raise ValueError("position_dtype must be 'float32' or 'float64'")
-    if extras:
-        warnings.warn(
-            f"dropping unknown properties on write: {sorted(extras)}", stacklevel=2
-        )
 
     coord_ply = "float" if position_dtype == "float32" else "double"
     coord_np = _PLY_TO_NUMPY[coord_ply]

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _threads
 from ._config import check_fields, within
@@ -421,40 +420,38 @@ def _unmask_objective(
 ) -> tuple[float | None, list[tuple[np.ndarray, EncoderParams]]]:
     """Unmask loss: local views against the pooled teacher globals.
 
-    Returns the unweighted term (None when no local point matched) and the
-    (head, encoder) gradients of the weighted term, one pair per matched view.
+    One match pairs the stacked local views with g0 and g1; its student
+    indices ascend, so each view's pairs are one run of them.  Returns the
+    unweighted term (None when no local point matched) and the (head,
+    encoder) gradients of the weighted term, one pair per matched view.
     """
     config = state.config
-    g0, g1 = views.global_views
-    teacher_pos = np.concatenate([g0.original_positions, g1.original_positions])
-    q_teacher = np.concatenate([q0, q1])
-    teacher_tree = cKDTree(teacher_pos)
-    local_caches, local_rows, local_q = [], [], []
-    for local in views.local_views:
-        cache = encode_features(state.params, local.features)
-        lp = match_correspondences(
-            teacher_pos, local.original_positions,
-            config.correspondence_cutoff, teacher_tree=teacher_tree,
-        )
-        local_caches.append(cache)
-        local_rows.append(lp.student_indices)
-        local_q.append(q_teacher[lp.teacher_indices])
-    matched_counts = [len(r) for r in local_rows]
-    if sum(matched_counts) == 0:
+    if not views.local_views:
         return None, []
-    logits_locals = [
-        c.embeddings[r] @ state.head.projection for c, r in zip(local_caches, local_rows)
-    ]
+    g0, g1 = views.global_views
+    pairs = match_correspondences(
+        np.concatenate([g0.original_positions, g1.original_positions]),
+        np.concatenate([local.original_positions for local in views.local_views]),
+        config.correspondence_cutoff,
+    )
+    if not len(pairs):
+        return None, []
+    offsets = np.cumsum([0] + [len(local.features) for local in views.local_views])
+    bounds = np.searchsorted(pairs.student_indices, offsets)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    caches = [encode_features(state.params, local.features) for local in views.local_views]
+    rows = [pairs.student_indices[a:b] - o for (a, b), o in zip(spans, offsets)]
+    logits = [c.embeddings[r] @ state.head.projection for c, r in zip(caches, rows)]
     value, grad = clustering_ce(
-        np.concatenate(local_q), np.concatenate(logits_locals), config.student_temperature
+        np.concatenate([q0, q1])[pairs.teacher_indices], np.concatenate(logits),
+        config.student_temperature,
     )
     contributions = []
-    offsets = np.cumsum([0] + matched_counts)
-    for j, (cache, rows) in enumerate(zip(local_caches, local_rows)):
-        if len(rows) == 0:
+    for cache, r, (a, b) in zip(caches, rows, spans):
+        if a == b:
             continue
         grad_view = np.zeros((len(cache.embeddings), state.head.num_prototypes))
-        grad_view[rows] = config.unmask_weight * grad[offsets[j]:offsets[j + 1]]
+        grad_view[r] = config.unmask_weight * grad[a:b]
         g_emb, g_proj = prototype_logits_backward(state.head, cache.embeddings, grad_view)
         contributions.append((g_proj, encode_backward(state.params, cache, g_emb)))
     return value, contributions

@@ -1,11 +1,12 @@
 """Teacher/student view generation: crops, masking, and noise augmentation.
 
 A scene yields 2 global and 4 local views.  Every view keeps its source
-indices into the scene and its pre-augmentation coordinates, so losses that
-pair points across views can match them in the shared original frame.  All
-randomness is drawn from the counter-based generator in `rng`, with one
-stream per purpose, so a fixed seed reproduces views bit-for-bit and
-skipping one consumer never shifts another.
+indices into the scene and its scene-frame coordinates, so losses that pair
+points across views can match them in the shared original frame; the
+augmentation itself is applied, not stored.  All randomness is drawn from
+the counter-based generator in `rng`, with one stream per purpose, so a
+fixed seed reproduces views bit-for-bit and skipping one consumer never
+shifts another.
 """
 
 from __future__ import annotations
@@ -54,32 +55,24 @@ class ViewConfig:
 
 @dataclass(frozen=True)
 class View:
-    """One augmented crop: the rows its encoder reads, plus the bookkeeping to undo it.
+    """One augmented crop: the rows its encoder reads and where they came from.
 
     features is (N, 9), built by model.point_features: augmented xyz,
     jittered rgb and rotated normals, with zero columns where the scene has no
-    colors or normals.  source_indices map every view point back into the
-    scene; original_positions are the scene-frame coordinates.  The applied
-    transform is p_view = rotation @ (flip * p_orig) + jitter, with the drawn
-    jitter stored so it can be excluded when inverting.  A View takes its
+    colors or normals.  The augmented xyz is rotation @ (flip * p) + jitter
+    for a z-rotation, random x/y sign flips and Gaussian jitter, none of which
+    is kept.  source_indices map every view point back into the scene;
+    original_positions are its scene-frame coordinates p.  A View takes its
     arrays over and marks them read-only.
     """
 
     features: np.ndarray
     source_indices: np.ndarray
     original_positions: np.ndarray
-    rotation: np.ndarray
-    flip: np.ndarray
-    jitter: np.ndarray
 
     def __post_init__(self):
         for array in vars(self).values():
             array.flags.writeable = False
-
-    def invert_positions(self) -> np.ndarray:
-        """Recover original coordinates from the view (jitter excluded)."""
-        unrotated = (self.features[:, :3] - self.jitter) @ self.rotation
-        return unrotated * self.flip
 
 
 @dataclass(frozen=True)
@@ -116,14 +109,14 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
     jitter = (
         rng.normal(0.0, config.jitter_sigma, size=original.shape)
         if config.jitter_sigma > 0.0
-        else np.zeros_like(original)
+        else 0.0
     )
     colors = None if scene.colors is None else scene.colors[indices]
     if colors is not None and config.color_jitter > 0.0:
         colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
     normals = None if scene.normals is None else (scene.normals[indices] * flip) @ rotation.T
     features = point_features((original * flip) @ rotation.T + jitter, colors, normals)
-    return View(features, indices, original, rotation, flip, jitter)
+    return View(features, indices, original)
 
 
 def grid_mask(
@@ -164,9 +157,8 @@ def grid_mask(
 def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
     """Gaussian coordinate perturbation plus uniform point dropout of a view.
 
-    The surviving rows keep their source-index and frame records, and the
-    added perturbation is folded into the stored jitter so the original
-    frame stays recoverable.  The input view is not changed.
+    The surviving rows keep their source indices and scene-frame positions;
+    only their xyz features move.  The input view is not changed.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
@@ -175,13 +167,9 @@ def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
     rng = make_rng(seed, _STREAM_NOISE)
     kept = np.flatnonzero(rng.random(len(view.features)) >= dropout)
     features = view.features[kept]
-    jitter = view.jitter[kept]
     if sigma > 0.0:
-        positions = features[:, :3] + rng.normal(0.0, sigma, size=(len(kept), 3))
-        jitter += positions - features[:, :3]
-        features[:, :3] = positions
-    return View(features, view.source_indices[kept], view.original_positions[kept],
-                view.rotation, view.flip, jitter)
+        features[:, :3] += rng.normal(0.0, sigma, size=(len(kept), 3))
+    return View(features, view.source_indices[kept], view.original_positions[kept])
 
 
 def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) -> ViewSet:

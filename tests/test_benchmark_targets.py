@@ -40,6 +40,7 @@ def test_traced_train_step_breaks_no_observer(perfbench_modules, tmp_path):
         tracer.remove()
     assert tracer.broken == set()
     assert tracer.counts["sinkhorn.rows"] > 0
+    assert 0 < tracer.counts["losses.matched"] <= tracer.counts["losses.queried"]
 
 
 def test_traced_align_op_breaks_no_observer(perfbench_modules, tmp_path, monkeypatch):

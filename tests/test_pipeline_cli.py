@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -178,21 +179,14 @@ class TestCliAlign:
             assert (tmp_path / "o2" / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_report_roundtrips(self):
-        report = PipelineReport(rows=[
+        rows = [
             SceneReport(name="a.ply", input_points=10, sor_removed=1, plane_found=True,
                         angle_to_z_before=5.0, angle_to_z_after=0.1, alpha=0.5,
                         final_diagonal=8.0, wall_time=0.01, ransac_threshold=0.05,
                         inlier_ratio=0.3, degenerate_normals=2),
             SceneReport(name="b.ply", error="boom"),
-        ])
-        rebuilt = PipelineReport.from_json(report.to_json())
-        assert rebuilt == report
-        csv_text = report.to_csv()
-        assert csv_text.splitlines()[0].startswith("name,")
-        assert {"ransac_threshold", "inlier_ratio", "degenerate_normals"} <= set(
-            csv_text.splitlines()[0].split(","))
-        assert "0.05" in csv_text.splitlines()[1] and ",0.3," in csv_text.splitlines()[1]
-        assert len(csv_text.strip().splitlines()) == 3
+        ]
+        assert json.loads(PipelineReport(rows=rows).to_json()) == [asdict(r) for r in rows]
 
 
 class TestExportPca:
@@ -236,6 +230,12 @@ class TestCliCommands:
         ])
         assert code == 0
         assert len(list(scenes.glob("*.ply"))) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["scene_0000", "scene_0001"]
+        for line in lines:
+            count = int(line.split()[1])
+            assert line.endswith(" deg") and 0 < count <= 2500
+            assert count == len(read_ply(scenes / f"{line.split(':')[0]}.ply")[0])
         sidecar = json.loads((scenes / "scene_0000.json").read_text())
         assert set(sidecar) >= {"up_axis", "diagonal", "scale", "tilt_rotation", "labels"}
 
@@ -322,14 +322,19 @@ class TestCliCommands:
          "floor is not the dominant plane"),
         (["gen-scenes", "--out", "scenes", "--count", "1", "--points", "500"],
          {"scenes": "a file"}, "--out scenes exists and is not a directory"),
+        (["align", "--input", "nosuchdir", "--output", "outdir", "--seed", "0"], {},
+         "input_dir nosuchdir is not a directory"),
+        (["align", "--input", "scenes", "--output", "outdir", "--seed", "0"],
+         {"scenes": "a file"}, "input_dir scenes is not a directory"),
         (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
             "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
             "points-0", "density-negative", "outlier-fraction-negative", "count-negative",
             "holes-negative", "tilt-max-negative", "seed-negative", "floor-not-dominant",
-            "last-scene-floor-not-dominant", "out-is-a-file", "trials-0"])
+            "last-scene-floor-not-dominant", "out-is-a-file", "input-missing",
+            "input-is-a-file", "trials-0"])
     def test_malformed_input_exits_1_with_its_message(
-        self, tmp_path, monkeypatch, caplog, argv, files, message
+        self, tmp_path, monkeypatch, caplog, capsys, argv, files, message
     ):
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
@@ -339,6 +344,8 @@ class TestCliCommands:
         assert main(argv) == 1
         assert message in caplog.text
         assert set(tmp_path.rglob("*")) == before  # no output, not even an empty --out
+        assert not (tmp_path / "outdir").exists()
+        assert "scene_" not in capsys.readouterr().out  # no line for a discarded scene
 
     @pytest.mark.parametrize("argv", [
         ["sinkhorn", "--input", "in.csv", "--strict"],

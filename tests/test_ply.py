@@ -94,11 +94,6 @@ def test_unknown_property_preserved_on_read(tmp_path):
     assert len(cloud) == 2
     np.testing.assert_allclose(extras["confidence"], [0.5, 0.75])
 
-    with pytest.warns(UserWarning, match="dropping unknown properties"):
-        write_ply(tmp_path / "noextras.ply", cloud, extras=extras)
-    reread, extras2 = read_ply(tmp_path / "noextras.ply")
-    assert extras2 == {}
-
 
 def test_uint8_colors_read(tmp_path):
     path = tmp_path / "col.ply"

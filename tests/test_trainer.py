@@ -149,6 +149,14 @@ class TestTrainStep:
             )
             assert record.total == pytest.approx(expected, abs=1e-10)
 
+    def test_step_without_local_views_has_no_unmask_term(self, toy_scenes):
+        config = _toy_config(total_steps=3, views={"num_local": 0})
+        state, record = train_step(init_train_state(config), toy_scenes[:2])
+        assert state.step == 1
+        assert record.unmask == 0.0
+        assert record.mask > 0.0 and record.roll > 0.0
+        assert np.isfinite(record.total) and np.isfinite(record.grad_norm)
+
     def test_disabling_regularizers_keeps_clustering_bitwise(self, toy_scenes):
         full_cfg = _toy_config(total_steps=3)
         bare_cfg = _toy_config(

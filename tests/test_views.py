@@ -34,6 +34,26 @@ def loop_grid_mask(positions, grid_size, mask_ratio, seed):
     return chosen[voxel_of_point.ravel()]
 
 
+def assert_flipped_z_rotation_plus_jitter(view, sigma):
+    """Fit xyz = original_positions @ M + r by least squares: M must be a
+    z-rotation with x/y sign flips to within 6 standard errors of the fit, and
+    each axis of r must have a std within 20% of sigma."""
+    x, xyz = view.original_positions, view.features[:, :3]
+    m, *_ = np.linalg.lstsq(x, xyz, rcond=None)
+    tol = 6.0 * sigma * np.sqrt(np.diag(np.linalg.inv(x.T @ x))).max()
+    np.testing.assert_allclose(m[2], [0.0, 0.0, 1.0], rtol=0, atol=tol)
+    np.testing.assert_allclose(m[:2, 2], [0.0, 0.0], rtol=0, atol=tol)
+    xy = m[:2, :2]  # orthogonal: a rotation, or a rotation after one flip
+    np.testing.assert_allclose(xy @ xy.T, np.eye(2), rtol=0, atol=2.0 * tol)
+    np.testing.assert_allclose((xyz - x @ m).std(axis=0), sigma, rtol=0.2)
+
+
+def cube_scene(seed):
+    """Points filling a unit cube: every crop spans all three axes, so the
+    least-squares fit above is well posed (a crop of a room can be one wall)."""
+    return PointCloud(np.random.default_rng(seed).uniform(0.0, 1.0, (20000, 3)))
+
+
 def full_view(cloud):
     """The whole cloud as one view, without jitter."""
     config = ViewConfig(global_crop_min=1.0, global_crop_max=1.0, jitter_sigma=0.0, color_jitter=0.0)
@@ -58,19 +78,30 @@ class TestMakeViews:
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_full_crop_no_jitter_equals_rotated_scene(self):
-        scene = toy_room(seed=2)
+        # Unit-vector markers at rows 0-2 map to the rows of the applied matrix M.
+        room = toy_room(seed=2)
+        eye = np.eye(3)
+        scene = PointCloud(
+            np.vstack([eye, room.positions]),
+            np.vstack([np.full((3, 3), 0.5), room.colors]),
+            np.vstack([eye, room.normals]),
+        )
         config = ViewConfig(
             global_crop_min=1.0, global_crop_max=1.0, jitter_sigma=0.0, color_jitter=0.0
         )
-        views = make_views(scene, seed=3, config=config)
-        view = views.global_views[0]
-        np.testing.assert_array_equal(view.source_indices, np.arange(len(scene)))
-        expected = (scene.positions * view.flip) @ view.rotation.T
-        np.testing.assert_array_equal(view.features[:, :3], expected)
-        np.testing.assert_array_equal(view.features[:, 3:6], scene.colors)
-        np.testing.assert_array_equal(
-            view.features[:, 6:], (scene.normals * view.flip) @ view.rotation.T
-        )
+        for seed in range(3, 8):
+            view = make_views(scene, seed=seed, config=config).global_views[0]
+            np.testing.assert_array_equal(view.source_indices, np.arange(len(scene)))
+            m = view.features[:3, :3]
+            # a z-rotation with x/y flips: rows (fx cos, fx sin, 0), (-fy sin, fy cos, 0), e_z
+            np.testing.assert_array_equal(m[2], [0.0, 0.0, 1.0])
+            np.testing.assert_array_equal(m[:2, 2], [0.0, 0.0])
+            np.testing.assert_array_equal(np.abs(m[0, :2]), np.abs(m[1, 1::-1]))
+            assert m[0, 0] * m[1, 0] + m[0, 1] * m[1, 1] == 0.0
+            assert np.hypot(m[0, 0], m[0, 1]) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_array_equal(view.features[:, :3], scene.positions @ m)
+            np.testing.assert_array_equal(view.features[:, 3:6], scene.colors)
+            np.testing.assert_array_equal(view.features[:, 6:], scene.normals @ m)
 
     def test_global_crops_cover_at_least_40_percent(self):
         scene = toy_room(seed=3)
@@ -88,16 +119,16 @@ class TestMakeViews:
             overlap = len(a & b) / min(len(a), len(b))
             assert overlap >= 0.05
 
-    def test_inverse_transform_recovers_original_frame(self):
-        scene = toy_room(seed=5)
-        views = make_views(scene, seed=6)
+    def test_views_are_flipped_z_rotations_plus_jitter(self):
+        config = ViewConfig()
+        for scene in (toy_room(seed=5), cube_scene(seed=5)):
+            views = make_views(scene, seed=6, config=config)
+            for view in views.global_views + views.local_views:
+                np.testing.assert_array_equal(
+                    view.original_positions, scene.positions[view.source_indices]
+                )
         for view in views.global_views + views.local_views:
-            np.testing.assert_allclose(
-                view.invert_positions(), view.original_positions, atol=1e-6
-            )
-            np.testing.assert_array_equal(
-                view.original_positions, scene.positions[view.source_indices]
-            )
+            assert_flipped_z_rotation_plus_jitter(view, config.jitter_sigma)
 
     def test_too_few_points_rejected(self):
         tiny = PointCloud(positions=np.random.default_rng(0).uniform(0, 1, (100, 3)))
@@ -222,10 +253,11 @@ class TestAddNoise:
         np.testing.assert_array_equal(
             noisy.original_positions, scene.positions[noisy.source_indices]
         )
-        # the stored jitter absorbs the perturbation: inversion still works
-        np.testing.assert_allclose(
-            noisy.invert_positions(), noisy.original_positions, atol=1e-6
-        )
         # the input view is unchanged
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(view, name), value)
+        # the perturbation adds to the view's jitter, in the same frame
+        config = ViewConfig()
+        view = make_views(cube_scene(seed=11), seed=12, config=config).global_views[1]
+        noisy = noise_view(view, sigma=0.01, dropout=0.2, seed=13)
+        assert_flipped_z_rotation_plus_jitter(noisy, np.hypot(config.jitter_sigma, 0.01))
