@@ -435,6 +435,32 @@ def _inlier_counts(
     return sum(_row_map(count_rows, len(pts)))
 
 
+# Preemptive scoring (Nister, ICCV 2003): each hypothesis is first scored on
+# about _PREEMPT_POINTS points of a fixed stride, and only the _PREEMPT_KEEP
+# best are scored on the whole cloud.  At 512 hypotheses over 20k points that
+# is 13% of the distances of full scoring, and on the benchmark's rooms the
+# hypothesis full scoring picks was first or second on the subsample.
+_PREEMPT_POINTS = 2048
+_PREEMPT_KEEP = 16
+
+
+def sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 3) rows of 3 distinct indices in [0, n), each ordered triple
+    equally likely, from one draw of rng.
+
+    The second index is drawn from n - 1 values and shifted up past the
+    first, the third from n - 2 and shifted up past the smaller, then the
+    larger of the first two.
+    """
+    draw = rng.integers(0, [n, n - 1, n - 2], size=(count, 3))
+    first, second, third = draw.T
+    second += second >= first
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    third += third >= low
+    third += third >= high
+    return draw
+
+
 def detect_dominant_plane(
     cloud: PointCloud,
     iterations: int = 512,
@@ -444,22 +470,20 @@ def detect_dominant_plane(
 ) -> Plane | None:
     """RANSAC dominant-plane detection with least-squares refit.
 
-    Samples 3 points per iteration, keeps the hypothesis supporting the most
-    points within inlier_threshold, then refits that plane to its inliers via
-    the centroid and smallest singular direction.  Returns None when the
-    refit plane supports fewer than min_inlier_ratio of the points
-    (including the all-collinear case).  Deterministic for a fixed seed.
+    Samples 3 distinct points per iteration (sample_triples).  Of the
+    _PREEMPT_KEEP hypotheses supporting the most points of a stride
+    subsample, keeps the one supporting the most points within
+    inlier_threshold, then refits that plane to its inliers via the centroid
+    and smallest singular direction.  Returns None when the refit plane
+    supports fewer than min_inlier_ratio of the points (including the
+    all-collinear case).  Deterministic for a fixed seed.
     """
     pts = cloud.positions
     n = len(pts)
     if n < 3:
         raise EmptyCloudError("plane detection needs at least 3 points")
 
-    rng = make_rng(seed)
-    samples = np.empty((iterations, 3), dtype=np.int64)
-    for i in range(iterations):
-        samples[i] = rng.choice(n, size=3, replace=False)
-
+    samples = sample_triples(make_rng(seed), n, iterations)
     p0, p1, p2 = pts[samples[:, 0]], pts[samples[:, 1]], pts[samples[:, 2]]
     normals = np.cross(p1 - p0, p2 - p0)
     norms = np.linalg.norm(normals, axis=1)
@@ -469,10 +493,16 @@ def detect_dominant_plane(
     normals[ok] /= norms[ok, None]
     offsets = np.einsum("ij,ij->i", normals, p0)
 
-    counts = _inlier_counts(pts, normals, offsets, inlier_threshold)
-    counts[~ok] = 0
-    best_iter = int(np.argmax(counts))  # the first of equal counts
-    best_count = int(counts[best_iter])
+    # Preemption: every hypothesis is scored on a stride subsample, and only
+    # the best _PREEMPT_KEEP of those, in draw order, against every point.
+    sub = pts[::max(1, n // _PREEMPT_POINTS)]
+    sub_counts = _inlier_counts(sub, normals, offsets, inlier_threshold)
+    sub_counts[~ok] = -1
+    kept = np.sort(np.argsort(-sub_counts, kind="stable")[:_PREEMPT_KEEP])
+    counts = _inlier_counts(pts, normals[kept], offsets[kept], inlier_threshold)
+    counts[~ok[kept]] = 0
+    best = int(np.argmax(counts))  # the first of equal counts
+    best_iter, best_count = int(kept[best]), int(counts[best])
 
     if best_count < 3:
         return None
@@ -575,6 +605,53 @@ def scale_align(cloud: PointCloud, s_target: float) -> tuple[PointCloud, RigidSi
     return _transform_cloud(cloud, transform), transform
 
 
+def _smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per symmetric positive semi-definite 3x3 matrix of cov (n, 3, 3), its
+    smallest eigenvalue, a unit eigenvector of it, and whether its rank is
+    below 2.
+
+    The eigenvalue comes from Smith's trigonometric solution of the
+    characteristic cubic (CACM 4(4), 1961), which is accurate to a few ulps
+    of the largest eigenvalue wherever the smallest is simple.  The vector is
+    the longest cross product of two rows of cov - lambda * I.  Rank is read
+    from the invariants: rank < 2 when the sum of the principal 2x2 minors,
+    lambda_0 lambda_1 + (lambda_0 + lambda_1) lambda_2, is at most 1e-12 of
+    the squared trace.  Near a double root the cubic's middle root is off by
+    about sqrt(eps) * lambda_2, too coarse to tell a line from a thin strip.
+    """
+    a00, a11, a22 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
+    a01, a02, a12 = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
+    q = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    # cov = q I when p = 0: every angle gives lambda = q.
+    inv_p = 1.0 / np.where(p > 0.0, p, 1.0)
+    b00, b11, b22 = d0 * inv_p, d1 * inv_p, d2 * inv_p
+    b01, b02, b12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                      + b02 * (b01 * b12 - b11 * b02))
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    lam = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+
+    minors = a00 * a11 - a01 * a01 + a00 * a22 - a02 * a02 + a11 * a22 - a12 * a12
+    trace = 3.0 * q
+    degenerate = minors <= 1e-12 * (trace * trace)
+
+    shifted = cov - lam[:, None, None] * np.eye(3)
+    cross = np.cross(shifted[:, [0, 0, 1]], shifted[:, [1, 2, 2]])
+    lengths = (cross * cross).sum(axis=2)
+    longest = lengths.argmax(axis=1)[:, None]
+    normals = np.take_along_axis(cross, longest[:, :, None], axis=1)[:, 0]
+    length = np.sqrt(np.take_along_axis(lengths, longest, axis=1))
+    normals /= np.where(length > 0.0, length, 1.0)
+    # All three products vanish only where lambda is an exact multiple root,
+    # as for cov = c I; there any vector of its eigenspace will do.
+    multiple = (length[:, 0] == 0.0) & ~degenerate
+    if multiple.any():
+        normals[multiple] = np.linalg.eigh(cov[multiple])[1][:, :, 0]
+    return lam, normals, degenerate
+
+
 def estimate_normals(
     cloud: PointCloud,
     k: int = 16,
@@ -585,7 +662,7 @@ def estimate_normals(
 
     The normal is the eigenvector of the smallest covariance eigenvalue of
     each point's neighborhood (the point itself plus its k nearest
-    neighbors).  Orientation: flipped to a non-negative z component; when the
+    neighbors), found in closed form (_smallest_eigenpairs).  Orientation: flipped to a non-negative z component; when the
     z component is below 1e-6, to non-negative x, then y.  Rank-deficient
     neighborhoods get normal +Z and are flagged; pass return_degenerate=True
     to receive the flag array.
@@ -602,15 +679,16 @@ def estimate_normals(
 
     nbr = _neighborhoods(pts, k, neighbors)
 
-    def block_pca(rows):
-        centered = pts[nbr[rows]]
-        centered -= centered.mean(axis=1, keepdims=True)
-        return np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
+    # np.take and a matmul mean run several times faster here than fancy
+    # indexing and .mean(axis=1) over the short middle axis.
+    weights = np.full((1, nbr.shape[1]), 1.0 / nbr.shape[1])
 
-    eigvals, eigvecs = map(np.concatenate, zip(*_row_map(block_pca, len(pts))))
+    def block_normals(rows):
+        centered = np.take(pts, nbr[rows], axis=0)
+        centered -= weights @ centered
+        return _smallest_eigenpairs(centered.transpose(0, 2, 1) @ centered)[1:]
 
-    normals = eigvecs[:, :, 0]
-    degenerate = eigvals[:, 1] <= 1e-12 * np.maximum(eigvals[:, 2], 0.0)
+    normals, degenerate = map(np.concatenate, zip(*_row_map(block_normals, len(pts))))
     normals[degenerate] = (0.0, 0.0, 1.0)
 
     # Orientation: the first axis of (z, x, y) whose component clears 1e-6

@@ -48,7 +48,9 @@ class PipelineConfig:
     downsample_points: int = 20000
     sor_k: int = within(16, "[1, inf)")
     sor_std_mult: float = within(2.0, "(0, inf)")
-    ransac_iterations: int = within(512, "[1, inf)")
+    # Each hypothesis holds its sample, normal and offset (56 bytes), so the
+    # bound keeps them under 4 MB; unbounded, 10**13 asked numpy for 218 TiB.
+    ransac_iterations: int = within(512, "[1, 65536]")
     ransac_threshold_fraction: float = within(0.02, "(0, inf)")  # of the scene diagonal
     ransac_threshold_cap: float = within(0.05, "(0, inf)")       # meters
     min_inlier_ratio: float = within(0.15, "[0, 1]")
@@ -75,6 +77,10 @@ class PipelineConfig:
         return asdict(self)
 
 
+# The stages of align_scene, as SceneReport.stage_ms names them.
+STAGES = ("downsample", "knn", "sor", "ransac", "z_up", "scale", "normals")
+
+
 @dataclass
 class SceneReport:
     """One pipeline row; counts are non-negative, angles in degrees."""
@@ -90,7 +96,8 @@ class SceneReport:
     alpha: float | None = None
     final_diagonal: float | None = None
     degenerate_normals: int = 0  # rank-deficient neighborhoods, given normal +Z
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds
+    stage_ms: dict[str, float] = field(default_factory=dict)  # STAGES, in order
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -133,14 +140,23 @@ def align_scene(
     Returns the aligned cloud, the report row, and the composed transform
     from the (downsampled, filtered) input frame to the output frame.
     """
-    t_start = time.perf_counter()
-    report = SceneReport(name=name, input_points=len(cloud))
+    t_start = clock = time.perf_counter()
+    report = SceneReport(name=name, input_points=len(cloud), stage_ms=dict.fromkeys(STAGES, 0.0))
+
+    def lap(stage: str) -> None:
+        # Each stage's time runs from the end of the one before, so the
+        # stages add up to the scene's wall time.
+        nonlocal clock
+        now = time.perf_counter()
+        report.stage_ms[stage] += 1000.0 * (now - clock)
+        clock = now
 
     if len(cloud) > config.downsample_points:
         rng = make_rng(config.seed, _STREAM_DOWNSAMPLE, scene_seed)
         keep = rng.choice(len(cloud), size=config.downsample_points, replace=False)
         keep.sort()
         cloud = cloud.select(keep)
+    lap("downsample")
 
     # One self-kNN query serves SOR and, renumbered to the survivors, the
     # normals; below its column count each stage queries (or fails) alone.
@@ -148,13 +164,16 @@ def align_scene(
     columns = max(config.sor_k, config.normals_k) + 1
     neighbors = self_knn(cloud.positions, columns) if before_sor >= columns else None
     kept = np.empty(before_sor, bool)
+    lap("knn")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cloud = sor_filter(cloud, k=config.sor_k, std_mult=config.sor_std_mult,
                            neighbors=neighbors, kept=kept)
     report.sor_removed = before_sor - len(cloud)
+    lap("sor")
     if neighbors is not None:
         neighbors = survivor_neighbors(neighbors, kept, cloud.positions, config.normals_k)
+    lap("knn")
 
     threshold = min(
         config.ransac_threshold_fraction * aabb_diagonal(cloud),
@@ -169,6 +188,7 @@ def align_scene(
         min_inlier_ratio=config.min_inlier_ratio,
     )
     report.plane_found = plane is not None
+    lap("ransac")
     transform = RigidSimilarity.identity()
     if plane is not None:
         report.inlier_ratio = plane.inlier_ratio
@@ -177,6 +197,7 @@ def align_scene(
         report.angle_to_z_after = _angle_to_z_degrees(transform.rotation @ plane.normal)
     else:
         logger.warning("plane detection failed for %s; keeping orientation", name or "scene")
+    lap("z_up")
 
     if s_target is None:
         s_target = draw_target_scale(config, scene_seed)
@@ -189,10 +210,12 @@ def align_scene(
     transform = scale_transform.compose(transform)
     report.alpha = scale_transform.scale
     report.final_diagonal = aabb_diagonal(cloud)
+    lap("scale")
 
     cloud, degenerate = estimate_normals(cloud, k=config.normals_k, return_degenerate=True,
                                          neighbors=neighbors)
     report.degenerate_normals = int(degenerate.sum())
+    lap("normals")
     report.wall_time = time.perf_counter() - t_start
     return cloud, report, transform
 

@@ -1,10 +1,14 @@
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointssl import EmptyCloudError, detect_dominant_plane, geometry
+from pointssl.geometry import sample_triples
 from pointssl.rng import make_rng
 
 from conftest import force_threads, make_cloud
@@ -14,8 +18,15 @@ def reference_hypotheses(points, iterations, seed):
     """The sampling stream of detect_dominant_plane: each hypothesis's unit
     normal and offset, and whether its sample spans a plane."""
     n = len(points)
-    rng = make_rng(seed)
-    samples = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    draw = make_rng(seed).integers(0, [n, n - 1, n - 2], size=(iterations, 3))
+    samples = []
+    for a, b, c in draw.tolist():
+        # b skips a; c skips the smaller, then the larger, of a and b
+        b += b >= a
+        for taken in sorted((a, b)):
+            c += c >= taken
+        samples.append((a, b, c))
+    samples = np.array(samples)
     p0, p1, p2 = points[samples[:, 0]], points[samples[:, 1]], points[samples[:, 2]]
     normals = np.cross(p1 - p0, p2 - p0)
     norms = np.linalg.norm(normals, axis=1)
@@ -24,16 +35,48 @@ def reference_hypotheses(points, iterations, seed):
     return normals, np.einsum("ij,ij->i", normals, p0), ok
 
 
+def _count(points, normal, offset, inlier_threshold):
+    return int((np.abs(points @ normal - offset) <= inlier_threshold).sum())
+
+
 def reference_best_hypothesis(points, iterations, inlier_threshold, seed):
-    """The sampling stream and scoring of detect_dominant_plane, one
-    hypothesis at a time: the best hypothesis's normal, offset and count."""
+    """The sampling stream and preemptive scoring of detect_dominant_plane,
+    one hypothesis at a time: every hypothesis is scored on every
+    (n // 2048)-th point, the 16 best of those (the first of equal scores)
+    on all points, and the first with the most inliers is the best.  Returns
+    its normal, offset and inlier count."""
     normals, offsets, ok = reference_hypotheses(points, iterations, seed)
+    subsample = points[::max(1, len(points) // 2048)]
+    scores = [_count(subsample, normals[i], offsets[i], inlier_threshold) if ok[i] else -1
+              for i in range(iterations)]
+    kept = sorted(sorted(range(iterations), key=lambda i: -scores[i])[:16])
     best, best_count = -1, -1
-    for i in range(iterations):
-        count = int((np.abs(points @ normals[i] - offsets[i]) <= inlier_threshold).sum()) if ok[i] else 0
+    for i in kept:
+        count = _count(points, normals[i], offsets[i], inlier_threshold) if ok[i] else 0
         if count > best_count:
             best, best_count = i, count
     return normals[best], offsets[best], best_count
+
+
+def full_scoring_best(points, iterations, inlier_threshold, seed):
+    """The hypothesis of the same stream with the most inliers among all
+    points (the first of equal counts): its normal and offset."""
+    normals, offsets, ok = reference_hypotheses(points, iterations, seed)
+    counts = [_count(points, normals[i], offsets[i], inlier_threshold) if ok[i] else 0
+              for i in range(iterations)]
+    best = counts.index(max(counts))
+    return normals[best], offsets[best]
+
+
+def refit(points, normal, offset, inlier_threshold):
+    """detect_dominant_plane's least-squares refit of a hypothesis: the
+    centroid and smallest singular direction of its inliers, signed so that
+    the largest component is positive."""
+    inliers = np.abs(points @ normal - offset) <= inlier_threshold
+    centroid = points[inliers].mean(axis=0)
+    direction = np.linalg.svd(points[inliers] - centroid, full_matrices=False)[2][-1]
+    direction = -direction if direction[np.argmax(np.abs(direction))] < 0 else direction
+    return direction, float(direction @ centroid)
 
 
 def _noisy_plane_scene(rng, n_plane=2000, n_clutter=200, z=0.3, noise=0.005):
@@ -131,13 +174,60 @@ def test_points_exactly_at_threshold_count_as_inliers():
 
     plane = detect_dominant_plane(make_cloud(points), 256, threshold, seed=5,
                                   min_inlier_ratio=0.0)
-    inliers = np.abs(points @ normal - offset) <= threshold
-    centroid = points[inliers].mean(axis=0)
-    refit = np.linalg.svd(points[inliers] - centroid, full_matrices=False)[2][-1]
-    refit = -refit if refit[np.argmax(np.abs(refit))] < 0 else refit
-    assert np.array_equal(plane.normal, refit)
-    assert plane.offset == float(refit @ centroid)
-    assert plane.inlier_count == int((np.abs(points @ refit - refit @ centroid) <= threshold).sum())
+    normal, offset = refit(points, normal, offset, threshold)
+    assert np.array_equal(plane.normal, normal)
+    assert plane.offset == offset
+    assert plane.inlier_count == _count(points, normal, offset, threshold)
+
+
+class TestSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 10**6), seed=st.integers(0, 2**32 - 1))
+    def test_rows_hold_three_distinct_indices_in_range(self, n, seed):
+        samples = sample_triples(make_rng(seed), n, 64)
+        assert samples.shape == (64, 3)
+        assert samples.min() >= 0 and samples.max() < n
+        assert (samples[:, 0] != samples[:, 1]).all()
+        assert (samples[:, 0] != samples[:, 2]).all()
+        assert (samples[:, 1] != samples[:, 2]).all()
+        assert np.array_equal(samples, sample_triples(make_rng(seed), n, 64))
+
+    def test_every_ordered_triple_appears(self):
+        samples = sample_triples(make_rng(0), 5, 3000)
+        drawn = set(map(tuple, samples.tolist()))
+        assert drawn == set(itertools.permutations(range(5), 3))
+        assert len(drawn) == 60
+
+
+class TestPreemption:
+    """Preemption keeps the hypothesis that scoring every hypothesis on every
+    point keeps, on clouds where the subsample is a fraction of the points
+    and that hypothesis is not the subsample's best."""
+
+    def _check(self, points, threshold, seed):
+        subsample = points[::len(points) // 2048]
+        assert len(subsample) <= len(points) / 2
+        normals, offsets, _ = reference_hypotheses(points, 512, seed)
+        best_normal, best_offset = full_scoring_best(points, 512, threshold, seed)
+        scores = [_count(subsample, normal, offset, threshold)
+                  for normal, offset in zip(normals, offsets)]
+        assert _count(subsample, best_normal, best_offset, threshold) < max(scores)
+
+        plane = detect_dominant_plane(make_cloud(points), 512, threshold, seed=seed,
+                                      min_inlier_ratio=0.0)
+        normal, offset = refit(points, best_normal, best_offset, threshold)
+        assert np.array_equal(plane.normal, normal)
+        assert plane.offset == offset
+
+    def test_big_room(self, big_room):
+        self._check(big_room.positions, 0.02, seed=8)
+
+    # seed 7: the subsample's best ties the full best on all points, and
+    # the full best, drawn first, is 11th on the subsample
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_noisy_plane_scene(self, seed):
+        rng = np.random.default_rng(15)
+        self._check(_noisy_plane_scene(rng, n_plane=3000, n_clutter=3000), 0.02, seed)
 
 
 def reference_inlier_counts(points, normals, offsets, inlier_threshold):

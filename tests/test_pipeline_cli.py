@@ -33,6 +33,11 @@ from pointssl.pipeline import (
 from conftest import force_threads, toy_room
 
 
+def _untimed(report: SceneReport) -> dict:
+    """A report row without its timings, which differ from run to run."""
+    return {**report.to_dict(), "wall_time": 0, "stage_ms": {}}
+
+
 class TestAlignScene:
     def test_tilted_room_aligned_and_scaled(self):
         cloud, truth = generate_room(
@@ -89,7 +94,7 @@ class TestAlignScene:
         (aligned, report, transform), (ref_aligned, ref_report, ref_transform) = shared, reference
         assert np.array_equal(aligned.positions, ref_aligned.positions)
         assert np.array_equal(aligned.normals, ref_aligned.normals)
-        assert {**report.to_dict(), "wall_time": 0} == {**ref_report.to_dict(), "wall_time": 0}
+        assert _untimed(report) == _untimed(ref_report)
         assert np.array_equal(transform.rotation, ref_transform.rotation)
         assert np.array_equal(transform.translation, ref_transform.translation)
         assert transform.scale == ref_transform.scale
@@ -111,6 +116,14 @@ class TestAlignScene:
         _, degenerate = estimate_normals(PointCloud(aligned.positions), k=config.normals_k,
                                          return_degenerate=True)
         assert report.degenerate_normals == int(degenerate.sum()) >= 30
+
+    def test_stage_times_add_up_to_at_most_the_wall_time(self):
+        cloud, _ = generate_room(SceneSpec(tilt_degrees=5.0, seed=6, max_points=6000))
+        _, report, _ = align_scene(cloud, PipelineConfig(downsample_points=5000), scene_seed=0)
+        assert list(report.stage_ms) == list(pipeline.STAGES) == [
+            "downsample", "knn", "sor", "ransac", "z_up", "scale", "normals"]
+        assert all(ms >= 0.0 for ms in report.stage_ms.values())
+        assert sum(report.stage_ms.values()) <= 1000.0 * report.wall_time
 
     def test_plane_failure_passthrough(self):
         rng = np.random.default_rng(3)
@@ -154,7 +167,7 @@ class TestCliAlign:
             parallel = cli_align(scenes, out, config, jobs=jobs)
             assert len(parallel.rows) == len(serial.rows) == 3
             for a, b in zip(serial.rows, parallel.rows):
-                assert {**a.to_dict(), "wall_time": 0} == {**b.to_dict(), "wall_time": 0}
+                assert _untimed(a) == _untimed(b)
                 assert (out / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_parallel_jobs_with_row_pools_match_serial(self, tmp_path, monkeypatch):
@@ -175,7 +188,7 @@ class TestCliAlign:
         parallel = cli_align(scenes, tmp_path / "o2", config, jobs=2)
         assert threads and threading.get_ident() not in threads
         for a, b in zip(serial.rows, parallel.rows, strict=True):
-            assert {**a.to_dict(), "wall_time": 0} == {**b.to_dict(), "wall_time": 0}
+            assert _untimed(a) == _untimed(b)
             assert (tmp_path / "o2" / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_report_roundtrips(self):
@@ -183,7 +196,8 @@ class TestCliAlign:
             SceneReport(name="a.ply", input_points=10, sor_removed=1, plane_found=True,
                         angle_to_z_before=5.0, angle_to_z_after=0.1, alpha=0.5,
                         final_diagonal=8.0, wall_time=0.01, ransac_threshold=0.05,
-                        inlier_ratio=0.3, degenerate_normals=2),
+                        inlier_ratio=0.3, degenerate_normals=2,
+                        stage_ms=dict.fromkeys(pipeline.STAGES, 1.5)),
             SceneReport(name="b.ply", error="boom"),
         ]
         assert json.loads(PipelineReport(rows=rows).to_json()) == [asdict(r) for r in rows]
@@ -251,6 +265,8 @@ class TestCliCommands:
             assert 0.0 < row["ransac_threshold"] <= PipelineConfig().ransac_threshold_cap
             assert PipelineConfig().min_inlier_ratio <= row["inlier_ratio"] <= 1.0
             assert row["degenerate_normals"] >= 0
+            assert set(row["stage_ms"]) == set(pipeline.STAGES)
+            assert 0.0 <= sum(row["stage_ms"].values()) <= 1000.0 * row["wall_time"]
 
     def test_align_corrupt_not_strict_vs_strict(self, tmp_path):
         scenes = tmp_path / "s"
@@ -268,6 +284,8 @@ class TestCliCommands:
         ("normals_k", 0),
         ("downsample_points", -5),
         ("ransac_iterations", 0),
+        ("ransac_iterations", 2**16 + 1),
+        ("ransac_iterations", 10**13),
         ("min_inlier_ratio", 2.0),
         ("min_inlier_ratio", -0.1),
         ("sor_k", 2.5),
