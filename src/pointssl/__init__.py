@@ -7,13 +7,15 @@ Library surface:
   stages (SOR filter, RANSAC plane, Z-up, scale, PCA normals).
 - sinkhorn: teacher soft assignments and the student softmax.
 - losses: clustering_ce, laplacian_loss (pairwise and Huber-residual forms)
-  and consistency_loss over plain arrays, all with analytic gradients.
+  and consistency_loss over plain arrays, all with analytic gradients;
+  match_correspondences pairs points as an (M, 2) array of index rows.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
 - views: the two global and the local crops of a scene as arrays of encoder
   features (View), grid masking over positions, and noisy views (noise_view).
 - trainer: schedules and the full training loop.
 - scenes: synthetic annotated room generator.
 - pipeline: batch alignment with per-scene reports; PCA color export.
+- ply: read_ply (ASCII or binary) and write_ply (binary little-endian).
 """
 
 from .geometry import (
@@ -32,13 +34,7 @@ from .geometry import (
     scale_align,
     sor_filter,
 )
-from .losses import (
-    CorrespondenceSet,
-    clustering_ce,
-    consistency_loss,
-    laplacian_loss,
-    match_correspondences,
-)
+from .losses import clustering_ce, consistency_loss, laplacian_loss, match_correspondences
 from .model import (
     EncoderParams,
     PrototypeHead,
@@ -68,7 +64,6 @@ from .views import View, ViewConfig, ViewSet, grid_mask, make_views, noise_view
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrespondenceSet",
     "DegenerateGeometryError",
     "EmptyCloudError",
     "EncoderParams",

@@ -97,7 +97,8 @@ class KnnGraph:
     """Directed kNN edges with Gaussian distance weights.
 
     Edges are stored as parallel arrays (source, target, distance, weight);
-    weight = exp(-(distance / sigma)^2).  Edges beyond max_radius are absent
+    weight = exp(-(distance / sigma)^2), where sigma is the median edge
+    distance (NaN when there is no edge).  Edges beyond max_radius are absent
     and every stored distance is strictly positive.
     """
 
@@ -259,7 +260,6 @@ def build_knn_graph(
     cloud: PointCloud,
     k: int,
     max_radius: float,
-    sigma: float | str = "adaptive",
 ) -> KnnGraph:
     """Build the exact k-nearest-neighbor graph with Gaussian edge weights.
 
@@ -267,9 +267,8 @@ def build_knn_graph(
     Euclidean distance; edges longer than max_radius are removed.  Coincident
     duplicates of a point get no edge and take none of its k places.  Among
     neighbors exactly equidistant at the k-th place, the tree's traversal
-    decides which are kept, not their order in the cloud.  With
-    sigma="adaptive" the scale is the median of the retained neighbor
-    distances, otherwise the given fixed value is used.
+    decides which are kept, not their order in the cloud.  The weight scale
+    sigma is the median of the retained neighbor distances.
 
     Raises:
         EmptyCloudError: fewer than 2 points.
@@ -299,26 +298,19 @@ def build_knn_graph(
     src, tgt, dvals = rows[keep], cols[keep], dvals[keep]
 
     if dvals.size == 0:
-        sigma_val = float(sigma) if sigma != "adaptive" else float("nan")
         return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
-                        np.empty(0), np.empty(0), sigma_val, float(max_radius),
+                        np.empty(0), np.empty(0), float("nan"), float(max_radius),
                         num_nodes=n)
 
-    if sigma == "adaptive":
-        sigma_val = float(np.median(dvals))
-    else:
-        sigma_val = float(sigma)
-    if not sigma_val > 0.0:
-        raise DegenerateGeometryError(f"sigma must be positive, got {sigma_val}")
-
-    weights = np.exp(-((dvals / sigma_val) ** 2))
+    # Every kept distance is positive, so their median is.
+    sigma = float(np.median(dvals))
     return KnnGraph(
         k=k,
         source=src,
         target=tgt,
         distance=dvals,
-        weight=weights,
-        sigma=sigma_val,
+        weight=np.exp(-((dvals / sigma) ** 2)),
+        sigma=sigma,
         max_radius=float(max_radius),
         num_nodes=n,
     )
@@ -333,7 +325,8 @@ def mean_knn_distances(points: np.ndarray, k: int, neighbors: np.ndarray | None 
     nbr = _neighborhoods(points, k, neighbors)
 
     def block_means(rows):
-        return _exact_distances(points[rows, None, :], points[nbr[rows]])[:, 1:].mean(axis=1)
+        neighborhoods = np.take(points, nbr[rows], axis=0)
+        return _exact_distances(points[rows, None, :], neighborhoods)[:, 1:].mean(axis=1)
 
     return np.concatenate(_row_map(block_means, len(points)))
 
@@ -655,17 +648,17 @@ def _smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def estimate_normals(
     cloud: PointCloud,
     k: int = 16,
-    return_degenerate: bool = False,
     neighbors: np.ndarray | None = None,
-) -> PointCloud | tuple[PointCloud, np.ndarray]:
+) -> tuple[PointCloud, np.ndarray]:
     """Per-point normals from local PCA over the k-nearest neighborhoods.
 
     The normal is the eigenvector of the smallest covariance eigenvalue of
     each point's neighborhood (the point itself plus its k nearest
-    neighbors), found in closed form (_smallest_eigenpairs).  Orientation: flipped to a non-negative z component; when the
-    z component is below 1e-6, to non-negative x, then y.  Rank-deficient
-    neighborhoods get normal +Z and are flagged; pass return_degenerate=True
-    to receive the flag array.
+    neighbors), found in closed form (_smallest_eigenpairs).  Orientation:
+    flipped to a non-negative z component; when the z component is below
+    1e-6, to non-negative x, then y.  Rank-deficient neighborhoods get normal
+    +Z.  Returns the cloud with normals and the boolean flags of the
+    rank-deficient neighborhoods.
 
     neighbors, when given, are self-kNN rows of at least k + 1 columns that
     name each point's neighborhood in place of a query.  align_scene passes
@@ -702,7 +695,4 @@ def estimate_normals(
     normals *= sign[:, None]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-    out = replace(cloud, normals=normals)
-    if return_degenerate:
-        return out, degenerate
-    return out
+    return replace(cloud, normals=normals), degenerate

@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import PointCloud, build_knn_graph
-from .losses import (
-    CorrespondenceSet,
-    clustering_ce,
-    consistency_loss,
-    laplacian_loss,
-)
+from .losses import clustering_ce, consistency_loss, laplacian_loss
 from .model import encode_backward, encode_features, init_encoder
 from .rng import make_rng
 from .scenes import SceneSpec, generate_room
@@ -108,8 +103,8 @@ def _check_consistency(rng: np.random.Generator) -> float:
     student = rng.normal(0, 1, (n_s, d))
     rng.uniform(0, 1, (n_s, 3))
     n_pairs = int(rng.integers(1, n_s + 1))
-    pairs = CorrespondenceSet(
-        rng.choice(n_s, n_pairs, replace=False), rng.integers(0, n_t, n_pairs)
+    pairs = np.column_stack(
+        (rng.choice(n_s, n_pairs, replace=False), rng.integers(0, n_t, n_pairs))
     )
 
     _, analytic = consistency_loss(teacher, student, pairs)

@@ -10,12 +10,10 @@ points, or pairs) so values are comparable across scene sizes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._arrays import frozen_array
 from .geometry import KnnGraph
 from .sinkhorn import _checked_assignments, _checked_logits
 
@@ -23,29 +21,6 @@ PAIRWISE = "pairwise"
 HUBER_RESIDUAL = "huber_residual"
 
 DEFAULT_CORRESPONDENCE_CUTOFF = 0.05
-
-
-@dataclass(frozen=True)
-class CorrespondenceSet:
-    """Matched (student, teacher) index pairs; student indices are unique."""
-
-    student_indices: np.ndarray
-    teacher_indices: np.ndarray
-
-    def __post_init__(self):
-        s = frozen_array(self.student_indices, np.int64)
-        t = frozen_array(self.teacher_indices, np.int64)
-        if s.shape != t.shape or s.ndim != 1:
-            raise ValueError("student and teacher index arrays must be 1-D and equal length")
-        # Sorted input (match_correspondences' flatnonzero) is unique when it
-        # strictly increases; only other input pays for np.unique.
-        if not (s[1:] > s[:-1]).all() and len(np.unique(s)) != len(s):
-            raise ValueError("student indices must be unique")
-        object.__setattr__(self, "student_indices", s)
-        object.__setattr__(self, "teacher_indices", t)
-
-    def __len__(self) -> int:
-        return len(self.student_indices)
 
 
 def clustering_ce(q, logits, temperature: float = 1.0) -> tuple[float, np.ndarray]:
@@ -160,23 +135,32 @@ def laplacian_loss(
 
 
 def consistency_loss(
-    teacher_values: np.ndarray, student_values: np.ndarray, pairs: CorrespondenceSet
+    teacher_values: np.ndarray, student_values: np.ndarray, pairs: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean squared embedding discrepancy over matched pairs.
 
-    R = (1/|P|) sum |z_teacher_j - z_student_i|^2.  The teacher side is
+    pairs is an (M, 2) integer array of (student i, teacher j) rows, as
+    match_correspondences returns; no student row may appear twice.
+    R = (1/M) sum |z_teacher_j - z_student_i|^2.  The teacher side is
     constant; the gradient lands on the student rows:
-    2 (z_student_i - z_teacher_j) / |P|.
+    2 (z_student_i - z_teacher_j) / M.
     """
     teacher_values = np.asarray(teacher_values, dtype=np.float64)
     student_values = np.asarray(student_values, dtype=np.float64)
     if teacher_values.shape[1] != student_values.shape[1]:
         raise ValueError("teacher and student embedding dimensions differ")
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be an (M, 2) array, got shape {pairs.shape}")
+    si, tj = pairs.T
+    # Ascending rows (match_correspondences' order) are unique when they
+    # strictly increase; only other input pays for np.unique.
+    if not (si[1:] > si[:-1]).all() and len(np.unique(si)) != len(si):
+        raise ValueError("student indices must be unique")
     grad = np.zeros_like(student_values)
     if len(pairs) == 0:
         warnings.warn("consistency loss on an empty pair set is 0", stacklevel=2)
         return 0.0, grad
-    si, tj = pairs.student_indices, pairs.teacher_indices
     diff = student_values[si] - teacher_values[tj]
     loss = float(np.einsum("ij,ij->", diff, diff) / len(pairs))
     grad[si] = (2.0 / len(pairs)) * diff
@@ -187,19 +171,21 @@ def match_correspondences(
     teacher_positions: np.ndarray,
     student_positions: np.ndarray,
     max_distance: float = DEFAULT_CORRESPONDENCE_CUTOFF,
-) -> CorrespondenceSet:
+) -> np.ndarray:
     """Nearest-teacher-point match for every student point, in a shared frame.
 
-    Both position arrays must be expressed in the same pre-augmentation
-    frame.  Pairs farther apart than max_distance are dropped.  Each student
-    row is matched on its own, so matching several student sets stacked into
-    one array gives each row the pair it would get alone.
+    Returns an (M, 2) int64 array of (student, teacher) index rows, student
+    indices ascending.  Both position arrays must be expressed in the same
+    pre-augmentation frame.  Pairs farther apart than max_distance are
+    dropped.  Each student row is matched on its own, so matching several
+    student sets stacked into one array gives each row the pair it would get
+    alone.
     """
     teacher_positions = np.asarray(teacher_positions, dtype=np.float64)
     student_positions = np.asarray(student_positions, dtype=np.float64)
     if len(teacher_positions) == 0 or len(student_positions) == 0:
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
-        return CorrespondenceSet(np.empty(0, np.int64), np.empty(0, np.int64))
+        return np.empty((0, 2), np.int64)
     tree = cKDTree(teacher_positions)
     # The tree keeps only distances strictly below its bound, so the bound is
     # inflated (or lifted when no positive cutoff exists) to keep every pair
@@ -207,4 +193,4 @@ def match_correspondences(
     bound = max_distance * (1.0 + 1e-9) if max_distance > 0.0 else np.inf
     dist, nearest = tree.query(student_positions, k=1, distance_upper_bound=bound)
     keep = dist <= max_distance
-    return CorrespondenceSet(np.flatnonzero(keep), nearest[keep])
+    return np.column_stack((np.flatnonzero(keep), nearest[keep])).astype(np.int64, copy=False)

@@ -191,9 +191,7 @@ def encode_features(
     return EncodeCache(f, preacts, sigs, safe, floored, z, mask)
 
 
-def encode(
-    params: EncoderParams, cloud: PointCloud, mask: np.ndarray | None = None
-) -> np.ndarray:
+def encode(params: EncoderParams, cloud: PointCloud) -> np.ndarray:
     """(N, D) embeddings of a cloud; deterministic, unit-norm rows.
 
     Missing colors or normals are zero-filled with a warning.
@@ -203,7 +201,7 @@ def encode(
     if missing:
         warnings.warn(f"substituting zeros for missing {' and '.join(missing)}", stacklevel=2)
     features = point_features(cloud.positions, cloud.colors, cloud.normals)
-    return encode_features(params, features, mask).embeddings
+    return encode_features(params, features).embeddings
 
 
 def encode_backward(

@@ -212,8 +212,7 @@ def align_scene(
     report.final_diagonal = aabb_diagonal(cloud)
     lap("scale")
 
-    cloud, degenerate = estimate_normals(cloud, k=config.normals_k, return_degenerate=True,
-                                         neighbors=neighbors)
+    cloud, degenerate = estimate_normals(cloud, k=config.normals_k, neighbors=neighbors)
     report.degenerate_normals = int(degenerate.sum())
     lap("normals")
     report.wall_time = time.perf_counter() - t_start

@@ -1,10 +1,11 @@
-"""PLY point-cloud reader/writer (ASCII and binary little-endian).
+"""PLY point-cloud reader (ASCII and binary little-endian) and writer
+(binary little-endian).
 
-Supported vertex properties: x, y, z as float32 or float64; optional
+Supported vertex properties on read: x, y, z as float32 or float64; optional
 red, green, blue as uint8 (mapped to [0, 1] by /255); optional nx, ny, nz
 as float32.  Unknown scalar properties are preserved on read and returned
-separately; a write emits only positions, colors and normals.  Binary writes
-are canonical, so write -> read -> write is byte-identical.
+separately.  A write emits only float32 positions, uint8 colors and float32
+normals; it is canonical, so write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -163,34 +164,16 @@ def read_ply(path: str | Path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     return cloud, columns
 
 
-def _format_float(value: float, double: bool) -> str:
-    return f"{value:.17g}" if double else f"{np.float32(value):.9g}"
+def write_ply(path: str | Path, cloud: PointCloud) -> None:
+    """Write a PLY point cloud in binary little-endian.
 
-
-def write_ply(
-    path: str | Path,
-    cloud: PointCloud,
-    binary: bool = True,
-    position_dtype: str = "float32",
-) -> None:
-    """Write a PLY point cloud.
-
-    Positions are written as float32 by default (pass position_dtype
-    "float64" to keep full precision), colors as uint8, normals as float32.
-    Nothing else is written.
+    Positions and normals are written as float32, colors as uint8.  Nothing
+    else is written.
     """
-    if position_dtype not in ("float32", "float64"):
-        raise ValueError("position_dtype must be 'float32' or 'float64'")
-
-    coord_ply = "float" if position_dtype == "float32" else "double"
-    coord_np = _PLY_TO_NUMPY[coord_ply]
     n = len(cloud)
-
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    header.append(f"element vertex {n}")
-    header += [f"property {coord_ply} {c}" for c in ("x", "y", "z")]
-    fields = [("x", coord_np), ("y", coord_np), ("z", coord_np)]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
+    header += [f"property float {c}" for c in ("x", "y", "z")]
+    fields = [(c, "<f4") for c in ("x", "y", "z")]
     if cloud.colors is not None:
         header += [f"property uchar {c}" for c in _COLOR_NAMES]
         fields += [(c, "u1") for c in _COLOR_NAMES]
@@ -201,7 +184,7 @@ def write_ply(
 
     rec = np.empty(n, dtype=np.dtype(fields))
     for j, c in enumerate(("x", "y", "z")):
-        rec[c] = cloud.positions[:, j].astype(coord_np)
+        rec[c] = cloud.positions[:, j].astype("<f4")
     if cloud.colors is not None:
         quantized = np.clip(np.rint(cloud.colors * 255.0), 0, 255).astype(np.uint8)
         for j, c in enumerate(_COLOR_NAMES):
@@ -210,20 +193,6 @@ def write_ply(
         for j, c in enumerate(_NORMAL_NAMES):
             rec[c] = cloud.normals[:, j].astype("<f4")
 
-    path = Path(path)
-    with open(path, "wb") as stream:
+    with open(Path(path), "wb") as stream:
         stream.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            rec.tofile(stream)
-        else:
-            double = position_dtype == "float64"
-            for row in rec:
-                parts = []
-                for name, np_type in fields:
-                    if np_type == "u1":
-                        parts.append(str(int(row[name])))
-                    elif name in ("x", "y", "z"):
-                        parts.append(_format_float(float(row[name]), double))
-                    else:
-                        parts.append(_format_float(float(row[name]), False))
-                stream.write((" ".join(parts) + "\n").encode("ascii"))
+        rec.tofile(stream)

@@ -375,11 +375,10 @@ def _scene_objective(
         g1.original_positions, g0.original_positions, config.correspondence_cutoff
     )
     if len(pairs):
-        value, grad = clustering_ce(
-            q1[pairs.teacher_indices], logits_g0[pairs.student_indices], tau_s
-        )
+        students, teachers = pairs.T
+        value, grad = clustering_ce(q1[teachers], logits_g0[students], tau_s)
         terms["roll"] = value
-        grad_logits_g0[pairs.student_indices] += config.roll_weight * grad
+        grad_logits_g0[students] += config.roll_weight * grad
 
     value, contributions = _unmask_objective(state, views, q0, q1)
     if value is not None:
@@ -437,13 +436,14 @@ def _unmask_objective(
     if not len(pairs):
         return None, []
     offsets = np.cumsum([0] + [len(local.features) for local in views.local_views])
-    bounds = np.searchsorted(pairs.student_indices, offsets)
+    students, teachers = pairs.T
+    bounds = np.searchsorted(students, offsets)
     spans = list(zip(bounds[:-1], bounds[1:]))
     caches = [encode_features(state.params, local.features) for local in views.local_views]
-    rows = [pairs.student_indices[a:b] - o for (a, b), o in zip(spans, offsets)]
+    rows = [students[a:b] - o for (a, b), o in zip(spans, offsets)]
     logits = [c.embeddings[r] @ state.head.projection for c, r in zip(caches, rows)]
     value, grad = clustering_ce(
-        np.concatenate([q0, q1])[pairs.teacher_indices], np.concatenate(logits),
+        np.concatenate([q0, q1])[teachers], np.concatenate(logits),
         config.student_temperature,
     )
     contributions = []

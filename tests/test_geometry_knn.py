@@ -59,11 +59,11 @@ def test_too_few_points():
         build_knn_graph(make_cloud([[0, 0, 0]]), k=1, max_radius=1.0)
 
 
-def test_fixed_sigma_mode():
+def test_weight_formula_uses_the_adaptive_sigma():
     cloud = make_cloud([[0, 0, 0], [0.05, 0, 0], [0.10, 0, 0]])
-    graph = build_knn_graph(cloud, k=1, max_radius=1.0, sigma=0.1)
-    assert graph.sigma == 0.1
-    np.testing.assert_allclose(graph.weight, np.exp(-(0.05 / 0.1) ** 2))
+    graph = build_knn_graph(cloud, k=1, max_radius=1.0)
+    assert graph.sigma == 0.05
+    np.testing.assert_allclose(graph.weight, np.exp(-(0.05 / graph.sigma) ** 2))
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])

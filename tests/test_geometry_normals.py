@@ -67,7 +67,7 @@ def test_plane_normals():
     rng = np.random.default_rng(0)
     points = np.column_stack([rng.uniform(0, 2, 800), rng.uniform(0, 2, 800),
                               np.zeros(800)])
-    cloud = estimate_normals(make_cloud(points), k=12)
+    cloud, _ = estimate_normals(make_cloud(points), k=12)
     angles = np.degrees(np.arccos(np.clip(cloud.normals @ [0, 0, 1], -1, 1)))
     assert angles.max() < 1.0
 
@@ -76,7 +76,7 @@ def test_sphere_normals_radial():
     rng = np.random.default_rng(1)
     directions = rng.normal(size=(3000, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    cloud = estimate_normals(make_cloud(directions), k=16)
+    cloud, _ = estimate_normals(make_cloud(directions), k=16)
     # normals should agree with the radial direction up to sign
     cos = np.abs(np.einsum("ij,ij->i", cloud.normals, directions))
     angles = np.degrees(np.arccos(np.clip(cos, -1, 1)))
@@ -89,7 +89,7 @@ def test_degenerate_neighborhood_flagged():
         np.zeros((8, 3)),
         np.column_stack([np.linspace(1, 2, 8), np.zeros(8), np.zeros(8)]),
     ])
-    cloud, degenerate = estimate_normals(make_cloud(points), k=4, return_degenerate=True)
+    cloud, degenerate = estimate_normals(make_cloud(points), k=4)
     assert degenerate.all()
     np.testing.assert_array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (16, 1)))
 
@@ -101,18 +101,18 @@ def test_orientation_conventions():
     tilt = np.radians(30)
     rot = np.array([[1, 0, 0], [0, np.cos(tilt), -np.sin(tilt)],
                     [0, np.sin(tilt), np.cos(tilt)]])
-    cloud = estimate_normals(make_cloud(base @ rot.T), k=12)
+    cloud, _ = estimate_normals(make_cloud(base @ rot.T), k=12)
     assert (cloud.normals[:, 2] > 0).all()
 
     # vertical plane (normal perpendicular to z): +X rule decides the sign
     wall = np.column_stack([np.zeros(500), rng.uniform(0, 2, 500), rng.uniform(0, 2, 500)])
-    cloud = estimate_normals(make_cloud(wall), k=12)
+    cloud, _ = estimate_normals(make_cloud(wall), k=12)
     assert (cloud.normals[:, 0] > 0.99).all()
 
 
 def test_unit_norm_output():
     rng = np.random.default_rng(3)
-    cloud = estimate_normals(make_cloud(rng.uniform(0, 1, (300, 3))), k=10)
+    cloud, _ = estimate_normals(make_cloud(rng.uniform(0, 1, (300, 3))), k=10)
     np.testing.assert_allclose(np.linalg.norm(cloud.normals, axis=1), 1.0, atol=1e-9)
 
 
@@ -134,7 +134,7 @@ def _bit_exact_cases():
 
 def test_bit_identical_to_reference():
     for cloud, k in _bit_exact_cases():
-        out, degenerate = estimate_normals(cloud, k=k, return_degenerate=True)
+        out, degenerate = estimate_normals(cloud, k=k)
         ref_normals, ref_degenerate = reference_normals(cloud, k)
         assert np.array_equal(out.normals, ref_normals)
         assert np.array_equal(degenerate, ref_degenerate)
@@ -143,7 +143,7 @@ def test_bit_identical_to_reference():
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
     threads = force_threads(monkeypatch, cpus)
-    out, degenerate = estimate_normals(big_room, k=16, return_degenerate=True)
+    out, degenerate = estimate_normals(big_room, k=16)
     if cpus == 1:
         assert threads == {threading.get_ident()}
     else:
@@ -178,7 +178,7 @@ def test_closed_form_agrees_with_eigh(big_room, name):
     smallest, _, _ = geometry._smallest_eigenpairs(cov)
     assert (np.abs(smallest - eigvals[:, 0]) <= 1e-10 * eigvals[:, 2]).all()
 
-    out, degenerate = estimate_normals(make_cloud(points), k=16, return_degenerate=True)
+    out, degenerate = estimate_normals(make_cloud(points), k=16)
     separated = (eigvals[:, 1] - eigvals[:, 0]) / eigvals[:, 2] >= 1e-3
     assert separated.mean() > 0.99 and not degenerate.any()
     # the angle between the lines the two normals span, by its sine
@@ -204,7 +204,7 @@ def _flag_cases():
 def test_degenerate_flags_match_eigh():
     flagged = unflagged = 0
     for points, k in _flag_cases():
-        _, degenerate = estimate_normals(make_cloud(points), k=k, return_degenerate=True)
+        _, degenerate = estimate_normals(make_cloud(points), k=k)
         assert np.array_equal(degenerate, eigh_oracle(points, k)[3])
         flagged += degenerate.sum()
         unflagged += (~degenerate).sum()
@@ -217,7 +217,7 @@ def test_isotropic_neighborhood_gets_an_eigenvector():
     points = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3)])
     cov, eigvals, _, eigh_degenerate = eigh_oracle(points, 6)
     assert np.array_equal(cov, np.tile(2.0 * np.eye(3), (7, 1, 1)))
-    out, degenerate = estimate_normals(make_cloud(points), k=6, return_degenerate=True)
+    out, degenerate = estimate_normals(make_cloud(points), k=6)
     assert not degenerate.any() and not eigh_degenerate.any()
     np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0, atol=1e-12)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pointssl import (
-    CorrespondenceSet,
     KnnGraph,
     build_knn_graph,
     clustering_ce,
@@ -72,7 +71,7 @@ class TestLaplacian:
     @staticmethod
     def _two_point_graph(d=0.2):
         cloud = make_cloud([[0, 0, 0], [d, 0, 0]])
-        return build_knn_graph(cloud, k=1, max_radius=1.0, sigma=d)
+        return build_knn_graph(cloud, k=1, max_radius=1.0)
 
     @pytest.mark.parametrize("form", ["pairwise", "huber_residual"])
     def test_identical_embeddings_zero(self, form):
@@ -125,8 +124,8 @@ class TestLaplacian:
         rot = np.array([[np.cos(angle), -np.sin(angle), 0],
                         [np.sin(angle), np.cos(angle), 0], [0, 0, 1]])
         moved = positions @ rot.T + np.array([5.0, -2.0, 1.0])
-        g1 = build_knn_graph(make_cloud(positions), k=5, max_radius=2.0, sigma=0.3)
-        g2 = build_knn_graph(make_cloud(moved), k=5, max_radius=2.0, sigma=0.3)
+        g1 = build_knn_graph(make_cloud(positions), k=5, max_radius=2.0)
+        g2 = build_knn_graph(make_cloud(moved), k=5, max_radius=2.0)
         l1, _ = laplacian_loss(values, g1, "pairwise")
         l2, _ = laplacian_loss(values, g2, "pairwise")
         assert abs(l1 - l2) < 1e-9
@@ -164,7 +163,7 @@ class TestConsistency:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 1, (10, 4))
-        pairs = CorrespondenceSet(np.arange(10), np.arange(10))
+        pairs = np.column_stack((np.arange(10), np.arange(10)))
         loss, grad = consistency_loss(values, values, pairs)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
@@ -172,7 +171,7 @@ class TestConsistency:
     def test_single_pair_value_and_gradient(self):
         teacher = np.array([[0.0, 0.0, 0.0]])
         student = np.array([[2.0, 0.0, 0.0]])
-        pairs = CorrespondenceSet([0], [0])
+        pairs = np.array([[0, 0]])
         loss, grad = consistency_loss(teacher, student, pairs)
         assert loss == pytest.approx(4.0)
         np.testing.assert_allclose(grad, [[4.0, 0.0, 0.0]])
@@ -183,7 +182,7 @@ class TestConsistency:
         rng.uniform(0, 1, (16, 3))  # discarded; holds the later draws in place
         student_values = rng.normal(0, 1, (16, 8))
         rng.uniform(0, 1, (16, 3))
-        pairs = CorrespondenceSet(np.arange(16), rng.integers(0, 16, 16))
+        pairs = np.column_stack((np.arange(16), rng.integers(0, 16, 16)))
         _, grad = consistency_loss(teacher, student_values, pairs)
         numeric = finite_difference(
             lambda x: consistency_loss(teacher, x, pairs)[0], student_values
@@ -195,17 +194,37 @@ class TestConsistency:
         a = rng.normal(0, 1, (12, 5))
         rng.uniform(0, 1, (12, 3))  # discarded; holds b in place
         b = rng.normal(0, 1, (12, 5))
-        pairs = CorrespondenceSet(np.arange(12), np.arange(12))
+        pairs = np.column_stack((np.arange(12), np.arange(12)))
         l_ab, _ = consistency_loss(a, b, pairs)
         l_ba, _ = consistency_loss(b, a, pairs)
         assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
     def test_empty_pairs_warn(self):
         batch = np.ones((3, 2))
-        empty = CorrespondenceSet(np.empty(0, int), np.empty(0, int))
+        empty = np.empty((0, 2), int)
         with pytest.warns(UserWarning, match="empty pair set"):
             loss, grad = consistency_loss(batch, batch, empty)
         assert loss == 0.0 and not grad.any()
+
+    def test_unique_student_indices_enforced(self):
+        values = np.ones((3, 2))
+        with pytest.raises(ValueError, match="unique"):
+            consistency_loss(values, values, [[0, 1], [0, 2]])
+
+    def test_unsorted_unique_student_indices_accepted(self):
+        rng = np.random.default_rng(7)
+        teacher, student = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (4, 3))
+        pairs = np.array([[3, 0], [0, 1], [2, 2], [1, 3]])
+        loss, grad = consistency_loss(teacher, student, pairs)
+        ref_loss, ref_grad = consistency_loss(teacher, student, pairs[np.argsort(pairs[:, 0])])
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("pairs", [np.zeros((4, 3), int), np.arange(4), np.zeros((0,), int)])
+    def test_pairs_other_than_m_by_2_rejected(self, pairs):
+        values = np.ones((4, 2))
+        with pytest.raises(ValueError, match=r"\(M, 2\) array"):
+            consistency_loss(values, values, pairs)
 
 
 def _add_at_laplacian(values, graph, form, delta):
@@ -268,8 +287,9 @@ class TestMatchCorrespondences:
         rng = np.random.default_rng(0)
         points = rng.uniform(0, 1, (30, 3))
         pairs = match_correspondences(points, points)
-        np.testing.assert_array_equal(pairs.student_indices, np.arange(30))
-        np.testing.assert_array_equal(pairs.teacher_indices, np.arange(30))
+        assert pairs.shape == (30, 2) and pairs.dtype == np.int64
+        np.testing.assert_array_equal(pairs[:, 0], np.arange(30))
+        np.testing.assert_array_equal(pairs[:, 1], np.arange(30))
 
     def test_jittered_identity_recovered(self):
         # grid spacing 0.05 m dominates the 0.001 m jitter
@@ -278,7 +298,7 @@ class TestMatchCorrespondences:
         jittered = grid + rng.normal(0, 0.001, grid.shape)
         pairs = match_correspondences(grid, jittered)
         assert len(pairs) == len(grid)
-        np.testing.assert_array_equal(pairs.teacher_indices, np.arange(len(grid)))
+        np.testing.assert_array_equal(pairs[:, 1], np.arange(len(grid)))
 
     def test_cutoff_drops_distant(self):
         teacher = np.zeros((5, 3))
@@ -294,18 +314,10 @@ class TestMatchCorrespondences:
         teacher = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         student = np.array([[cutoff, 0.0, 0.0], [5.0, 0.0, beyond]])
         pairs = match_correspondences(teacher, student, max_distance=cutoff)
-        np.testing.assert_array_equal(pairs.student_indices, [0])
-        np.testing.assert_array_equal(pairs.teacher_indices, [0])
+        np.testing.assert_array_equal(pairs[:, 0], [0])
+        np.testing.assert_array_equal(pairs[:, 1], [0])
 
     def test_empty_view_warns(self):
         with pytest.warns(UserWarning, match="empty view"):
             pairs = match_correspondences(np.empty((0, 3)), np.ones((3, 3)))
-        assert len(pairs) == 0
-
-    def test_unique_student_indices_enforced(self):
-        with pytest.raises(ValueError, match="unique"):
-            CorrespondenceSet([0, 0], [1, 2])
-
-    def test_unsorted_unique_student_indices_accepted(self):
-        pairs = CorrespondenceSet([3, 0, 2, 1], [0, 1, 2, 3])
-        np.testing.assert_array_equal(pairs.student_indices, [3, 0, 2, 1])
+        assert pairs.shape == (0, 2)

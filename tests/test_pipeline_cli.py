@@ -113,8 +113,7 @@ class TestAlignScene:
                                       report.ransac_threshold, seed=0,
                                       min_inlier_ratio=config.min_inlier_ratio)
         assert report.inlier_ratio == plane.inlier_ratio
-        _, degenerate = estimate_normals(PointCloud(aligned.positions), k=config.normals_k,
-                                         return_degenerate=True)
+        _, degenerate = estimate_normals(PointCloud(aligned.positions), k=config.normals_k)
         assert report.degenerate_normals == int(degenerate.sum()) >= 30
 
     def test_stage_times_add_up_to_at_most_the_wall_time(self):

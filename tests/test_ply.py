@@ -45,11 +45,26 @@ def test_float32_positions_bit_stable(tmp_path):
     np.testing.assert_array_equal(reread.positions, cloud.positions)
 
 
+def _write_ascii_ply(path, cloud):
+    """cloud (with colours and normals) as an ASCII PLY file: float positions
+    and normals to 9 digits, which round-trips float32, and uchar colours."""
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property float {c}" for c in ("x", "y", "z")]
+    header += [f"property uchar {c}" for c in ("red", "green", "blue")]
+    header += [f"property float {c}" for c in ("nx", "ny", "nz")]
+    rows = np.hstack([cloud.positions, np.rint(cloud.colors * 255.0), cloud.normals])
+    np.savetxt(path, rows, fmt="%.9g", header="\n".join(header + ["end_header"]), comments="")
+
+
 def test_float64_positions(tmp_path):
     rng = np.random.default_rng(2)
     cloud = make_cloud(rng.uniform(-1, 1, (50, 3)))
     path = tmp_path / "d.ply"
-    write_ply(path, cloud, position_dtype="float64")
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 50"]
+    header += [f"property double {c}" for c in ("x", "y", "z")] + ["end_header", ""]
+    with open(path, "wb") as stream:
+        stream.write("\n".join(header).encode())
+        cloud.positions.astype("<f8").tofile(stream)
     reread, _ = read_ply(path)
     np.testing.assert_array_equal(reread.positions, cloud.positions)
 
@@ -58,7 +73,7 @@ def test_ascii_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     cloud = _sample_cloud(rng, n=40)
     path = tmp_path / "e.ply"
-    write_ply(path, cloud, binary=False)
+    _write_ascii_ply(path, cloud)
     assert path.read_bytes().startswith(b"ply\nformat ascii 1.0")
     reread, _ = read_ply(path)
     np.testing.assert_array_equal(reread.positions, cloud.positions)
@@ -211,14 +226,13 @@ def _small_ply_files() -> list[bytes]:
     one-row camera element in front of the vertices."""
     cloud = _sample_cloud(np.random.default_rng(3), n=4)
     files = []
-    for binary in (True, False):
+    for write, camera_row in ((write_ply, np.array([500.0], "<f4").tobytes()),
+                              (_write_ascii_ply, b"500.0\n")):
         with tempfile.TemporaryDirectory() as tmp:
-            write_ply(Path(tmp) / "small.ply", cloud, binary=binary)
+            write(Path(tmp) / "small.ply", cloud)
             head, body = (Path(tmp) / "small.ply").read_bytes().split(b"end_header\n")
-        camera = (b"element camera 1\nproperty float fx\n",
-                  np.array([500.0], "<f4").tobytes() if binary else b"500.0\n")
-        head = head.replace(b"element vertex", camera[0] + b"element vertex")
-        files.append(head + b"end_header\n" + camera[1] + body)
+        head = head.replace(b"element vertex", b"element camera 1\nproperty float fx\nelement vertex")
+        files.append(head + b"end_header\n" + camera_row + body)
     return files
 
 
