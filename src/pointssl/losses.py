@@ -20,8 +20,6 @@ from .sinkhorn import _checked_assignments, _checked_logits
 PAIRWISE = "pairwise"
 HUBER_RESIDUAL = "huber_residual"
 
-DEFAULT_CORRESPONDENCE_CUTOFF = 0.05
-
 
 def clustering_ce(q, logits, temperature: float = 1.0) -> tuple[float, np.ndarray]:
     """Cross-entropy of student softmax against fixed teacher assignments.
@@ -37,12 +35,21 @@ def clustering_ce(q, logits, temperature: float = 1.0) -> tuple[float, np.ndarra
     if q.shape != logits.shape:
         raise ValueError(f"shape mismatch: teacher {q.shape} vs student {logits.shape}")
     b = q.shape[0]
-    scaled = logits / temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    terms = np.where(q > 0.0, q * log_p, 0.0)
+    log_p = logits / temperature
+    log_p -= log_p.max(axis=1, keepdims=True)
+    exp_shifted = np.exp(log_p)
+    row_sums = exp_shifted.sum(axis=1, keepdims=True)
+    log_p -= np.log(row_sums)
+    terms = q * log_p
     loss = -terms.sum() / b
-    grad = (np.exp(log_p) - q) / (b * temperature)
+    if np.isnan(loss):
+        # Only 0 * -inf makes a NaN here: a q = 0 term where a logit is -inf.
+        terms[q == 0.0] = 0.0
+        loss = -terms.sum() / b
+    grad = exp_shifted
+    grad /= row_sums
+    grad -= q
+    grad /= b * temperature
     return float(loss), grad
 
 
@@ -170,27 +177,46 @@ def consistency_loss(
 def match_correspondences(
     teacher_positions: np.ndarray,
     student_positions: np.ndarray,
-    max_distance: float = DEFAULT_CORRESPONDENCE_CUTOFF,
+    max_distance: float,
+    teacher_ids: np.ndarray,
+    student_ids: np.ndarray,
 ) -> np.ndarray:
-    """Nearest-teacher-point match for every student point, in a shared frame.
+    """Teacher match for every student point: its own point first, else the nearest.
+
+    The ids name the points (a view's source_indices into its scene), so rows
+    with equal ids lie at the same position.  A student row whose id some
+    teacher row holds is paired with the first such teacher row, at distance
+    0; every other student row is paired with its nearest teacher point by
+    position, and dropped when that is farther than max_distance.  Both
+    position arrays must be expressed in the same pre-augmentation frame.
 
     Returns an (M, 2) int64 array of (student, teacher) index rows, student
-    indices ascending.  Both position arrays must be expressed in the same
-    pre-augmentation frame.  Pairs farther apart than max_distance are
-    dropped.  Each student row is matched on its own, so matching several
-    student sets stacked into one array gives each row the pair it would get
-    alone.
+    indices ascending.  Each student row is matched on its own, so matching
+    several student sets stacked into one array gives each row the pair it
+    would get alone.
     """
     teacher_positions = np.asarray(teacher_positions, dtype=np.float64)
     student_positions = np.asarray(student_positions, dtype=np.float64)
+    teacher_ids, student_ids = np.asarray(teacher_ids), np.asarray(student_ids)
+    if len(teacher_ids) != len(teacher_positions) or len(student_ids) != len(student_positions):
+        raise ValueError("every position needs one id")
     if len(teacher_positions) == 0 or len(student_positions) == 0:
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
         return np.empty((0, 2), np.int64)
-    tree = cKDTree(teacher_positions)
-    # The tree keeps only distances strictly below its bound, so the bound is
-    # inflated (or lifted when no positive cutoff exists) to keep every pair
-    # the filter below keeps; unmatched rows come back with dist = inf.
-    bound = max_distance * (1.0 + 1e-9) if max_distance > 0.0 else np.inf
-    dist, nearest = tree.query(student_positions, k=1, distance_upper_bound=bound)
-    keep = dist <= max_distance
-    return np.column_stack((np.flatnonzero(keep), nearest[keep])).astype(np.int64, copy=False)
+    ids, first = np.unique(teacher_ids, return_index=True)
+    slot = np.minimum(np.searchsorted(ids, student_ids), len(ids) - 1)
+    nearest = first[slot]
+    keep = (ids[slot] == student_ids) & (max_distance >= 0.0)
+    rest = np.flatnonzero(~keep)
+    if len(rest):
+        # The tree keeps only distances strictly below its bound, and none at
+        # all below a subnormal bound, so the bound is inflated (and floored)
+        # to keep every pair the filter below keeps; unmatched rows come back
+        # with dist = inf.
+        bound = max(max_distance * (1.0 + 1e-9), 1e-100)
+        dist, nearest[rest] = cKDTree(teacher_positions).query(
+            student_positions[rest], k=1, distance_upper_bound=bound
+        )
+        keep[rest] = dist <= max_distance
+    students = np.flatnonzero(keep)
+    return np.column_stack((students, nearest[students]))

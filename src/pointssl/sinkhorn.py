@@ -2,8 +2,11 @@
 
 The teacher's soft assignments come from alternating column/row rescaling of
 exp(logits / temperature): columns (prototypes) are pushed toward a uniform
-marginal of B/K, rows (points) toward 1.  The student side is a plain
-temperature softmax.  All reductions run in float64.
+marginal of B/K, rows (points) toward 1.  The rescaling is carried as one
+scale per row and one per column (Cuturi, NeurIPS 2013), so an iteration is
+two matrix-vector products and the B x K matrix is scaled once, at the end.
+The student side is a plain temperature softmax.  All reductions run in
+float64.
 """
 
 from __future__ import annotations
@@ -59,20 +62,26 @@ def softmax_rows(logits, temperature: float = 1.0) -> np.ndarray:
 
 
 def sinkhorn_normalize(logits, temperature: float = 1.0, iterations: int = 3) -> np.ndarray:
-    """B x K entropy-regularized soft assignment by alternating rescaling.
+    """B x K entropy-regularized soft assignment, diag(u) M diag(v).
 
-    Starting from exp(logits / temperature - row max), each iteration first
-    rescales every column to sum B/K (the uniform prototype marginal), then
-    every row to sum 1.  The final row step makes the row-sum invariant
-    exact.  Columns whose mass underflowed to zero are left at zero.
+    M is exp(logits / temperature - row max).  Each iteration first sets the
+    column scales v so that every column sums to B/K (the uniform prototype
+    marginal), v = (B/K) / (u^T M), then the row scales u so that every row
+    sums to 1, u = 1 / (M v): the alternating column/row rescaling of M,
+    carried as two vectors.  The product is formed once, after the last row
+    step, so the rows sum to 1 within rounding.  Columns whose mass
+    underflowed to zero are left at zero.
     """
     m = _stabilized_exp(logits, temperature)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     b, k = m.shape
     column_target = b / k
+    u = np.ones(b)
     for _ in range(iterations):
-        col_sums = m.sum(axis=0, keepdims=True)
-        m *= np.divide(column_target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0.0)
-        m /= m.sum(axis=1, keepdims=True)
+        col_mass = u @ m
+        v = np.divide(column_target, col_mass, out=np.zeros(k), where=col_mass > 0.0)
+        u = 1.0 / (m @ v)
+    m *= u[:, None]
+    m *= v
     return m

@@ -2,11 +2,15 @@
 
 One step generates views for every scene in the batch, encodes the full
 global views with the EMA teacher, pools both views of all scenes into a
-single Sinkhorn assignment, and trains the student on the masked global and
-local views with the three clustering terms plus the Laplacian and
-consistency regularizers.  Only the student receives gradients; the teacher
-moves through the EMA alone.  A fixed seed reproduces the metrics stream
-bit-for-bit (wall time aside), whether or not the scenes run on threads.
+single Sinkhorn assignment, and trains the student on the masked global
+view and on a scene's local views, stacked into one pass, with the three
+clustering terms plus the Laplacian and consistency regularizers.  Terms
+that pair points across views pair a point with its own scene point where
+the other view holds it (g0's row before g1's), and otherwise with the
+nearest point within the correspondence cutoff.  Only the student receives
+gradients; the teacher moves through the EMA alone.  A fixed seed
+reproduces the metrics stream bit-for-bit (wall time aside), whether or not
+the scenes run on threads.
 """
 
 from __future__ import annotations
@@ -293,7 +297,8 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
         )
         for logits in pair
     ]
-    splits = np.cumsum([len(t) for t in teacher_logits])[:-1]
+    # Scene i's rows of the pooled assignments: its g0 rows, then its g1 rows.
+    ends = np.cumsum([len(t) for t in teacher_logits])[1::2]
     # The logits and their pooled copy (points x K, each about 11 MB for four
     # 4,000-point rooms) are dropped before the per-scene work, which may run
     # several scenes at once.
@@ -301,14 +306,14 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
     del teacher_logits
     q_all = sinkhorn_normalize(pooled, tau_t, config.sinkhorn_iterations)
     del pooled
-    q_split = np.split(q_all, splits)
+    q_scenes = np.split(q_all, ends[:-1])
 
     grads = _GradAccumulator(state.params, state.head)
     terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
     scale = 1.0 / len(scene_views)
     per_scene = _threads.thread_map(
         lambda args: _scene_objective(state, step, lam, *args),
-        zip(range(len(scene_views)), scene_views, q_split[0::2], q_split[1::2]),
+        zip(range(len(scene_views)), scene_views, q_scenes),
         workers,
     )
     for scene_terms, contributions in per_scene:
@@ -340,10 +345,9 @@ def _teacher_logits(teacher: TeacherState, views: ViewSet) -> list[np.ndarray]:
 
 
 def _scene_objective(
-    state: TrainState, step: int, lam: float, i: int, views: ViewSet,
-    q0: np.ndarray, q1: np.ndarray,
+    state: TrainState, step: int, lam: float, i: int, views: ViewSet, q: np.ndarray,
 ) -> tuple[dict[str, float], list[tuple[np.ndarray | None, EncoderParams]]]:
-    """Scene i's share of the objective, unscaled.
+    """Scene i's share of the objective, unscaled; q holds its g0 then its g1 assignments.
 
     Returns the terms it contributes and its (head, encoder) gradients in the
     order they are accumulated; the head entry is None where only the encoder
@@ -358,6 +362,7 @@ def _scene_objective(
 
     g0, g1 = views.global_views
     mask = views.mask
+    q0, q1 = q[:len(g0.features)], q[len(g0.features):]
 
     cache_g0 = encode_features(state.params, g0.features, mask)
     logits_g0 = cache_g0.embeddings @ state.head.projection
@@ -370,9 +375,10 @@ def _scene_objective(
         terms["mask"] = value
         grad_logits_g0[rows] += config.mask_weight * grad
 
-    # Roll loss: swapped global views as targets, matched by proximity.
+    # Roll loss: swapped global views as targets, matched by scene point.
     pairs = match_correspondences(
-        g1.original_positions, g0.original_positions, config.correspondence_cutoff
+        g1.original_positions, g0.original_positions, config.correspondence_cutoff,
+        g1.source_indices, g0.source_indices,
     )
     if len(pairs):
         students, teachers = pairs.T
@@ -380,7 +386,7 @@ def _scene_objective(
         terms["roll"] = value
         grad_logits_g0[students] += config.roll_weight * grad
 
-    value, contributions = _unmask_objective(state, views, q0, q1)
+    value, contributions = _unmask_objective(state, views, q)
     if value is not None:
         terms["unmask"] = value
     value, laplacian_grads = _laplacian_objective(state, g1, lam)
@@ -396,7 +402,8 @@ def _scene_objective(
         )
         teacher_emb = encode_features(state.teacher.params, xa.features).embeddings
         pairs_cons = match_correspondences(
-            xa.original_positions, g0.original_positions, config.correspondence_cutoff
+            xa.original_positions, g0.original_positions, config.correspondence_cutoff,
+            xa.source_indices, g0.source_indices,
         )
         if len(pairs_cons):
             value, grad = consistency_loss(teacher_emb, cache_g0.embeddings, pairs_cons)
@@ -415,14 +422,15 @@ def _scene_objective(
 
 
 def _unmask_objective(
-    state: TrainState, views: ViewSet, q0: np.ndarray, q1: np.ndarray
+    state: TrainState, views: ViewSet, q: np.ndarray
 ) -> tuple[float | None, list[tuple[np.ndarray, EncoderParams]]]:
-    """Unmask loss: local views against the pooled teacher globals.
+    """Unmask loss: the local views against the scene's teacher assignments q.
 
-    One match pairs the stacked local views with g0 and g1; its student
-    indices ascend, so each view's pairs are one run of them.  Returns the
-    unweighted term (None when no local point matched) and the (head,
-    encoder) gradients of the weighted term, one pair per matched view.
+    The local views run through the student as one stack of rows, matched
+    against g0's rows then g1's, so a local point whose scene point lies in
+    both global views is distilled from q0.  Returns the unweighted term
+    (None when no local point matched) and the (head, encoder) gradients of
+    the weighted term.
     """
     config = state.config
     if not views.local_views:
@@ -430,31 +438,24 @@ def _unmask_objective(
     g0, g1 = views.global_views
     pairs = match_correspondences(
         np.concatenate([g0.original_positions, g1.original_positions]),
-        np.concatenate([local.original_positions for local in views.local_views]),
+        np.concatenate([view.original_positions for view in views.local_views]),
         config.correspondence_cutoff,
+        np.concatenate([g0.source_indices, g1.source_indices]),
+        np.concatenate([view.source_indices for view in views.local_views]),
     )
     if not len(pairs):
         return None, []
-    offsets = np.cumsum([0] + [len(local.features) for local in views.local_views])
     students, teachers = pairs.T
-    bounds = np.searchsorted(students, offsets)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    caches = [encode_features(state.params, local.features) for local in views.local_views]
-    rows = [students[a:b] - o for (a, b), o in zip(spans, offsets)]
-    logits = [c.embeddings[r] @ state.head.projection for c, r in zip(caches, rows)]
-    value, grad = clustering_ce(
-        np.concatenate([q0, q1])[teachers], np.concatenate(logits),
-        config.student_temperature,
-    )
-    contributions = []
-    for cache, r, (a, b) in zip(caches, rows, spans):
-        if a == b:
-            continue
-        grad_view = np.zeros((len(cache.embeddings), state.head.num_prototypes))
-        grad_view[r] = config.unmask_weight * grad[a:b]
-        g_emb, g_proj = prototype_logits_backward(state.head, cache.embeddings, grad_view)
-        contributions.append((g_proj, encode_backward(state.params, cache, g_emb)))
-    return value, contributions
+    stacked = np.concatenate([view.features for view in views.local_views])
+    cache = encode_features(state.params, stacked)
+    matched = cache.embeddings[students]
+    value, grad = clustering_ce(q[teachers], matched @ state.head.projection,
+                                config.student_temperature)
+    grad *= config.unmask_weight
+    g_matched, g_proj = prototype_logits_backward(state.head, matched, grad)
+    g_emb = np.zeros_like(cache.embeddings)
+    g_emb[students] = g_matched
+    return value, [(g_proj, encode_backward(state.params, cache, g_emb))]
 
 
 def _laplacian_objective(

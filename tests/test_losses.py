@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointssl import (
     KnnGraph,
@@ -57,6 +59,27 @@ class TestClusteringCE:
     def test_arrays_get_the_container_checks(self, q, logits, tau, message):
         with pytest.raises(ValueError, match=message):
             clustering_ce(q, logits, tau)
+
+    def test_neginf_logits_with_zero_targets_drop_out(self):
+        # A -inf logit has p = 0; with q = 0 there its term is 0, not 0 * -inf.
+        rng = np.random.default_rng(7)
+        b, k, tau = 12, 9, 0.3
+        logits = rng.normal(0, 2, (b, k))
+        logits[rng.random((b, k)) < 0.3] = -np.inf
+        logits[np.arange(b), rng.integers(0, k, b)] = 0.5
+        q = softmax_rows(np.where(np.isinf(logits), -np.inf, rng.normal(0, 1, (b, k))))
+        loss, grad = clustering_ce(q, logits, tau)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        want_loss, want_grad = 0.0, np.zeros((b, k))
+        for i in range(b):
+            kept = np.flatnonzero(np.isfinite(logits[i]))
+            if len(kept) < 2:  # a one-prototype row: p = q = 1, no loss, no gradient
+                continue
+            row_loss, row_grad = clustering_ce(q[i:i + 1, kept], logits[i:i + 1, kept], tau)
+            want_loss += row_loss / b
+            want_grad[i, kept] = row_grad[0] / b
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     def test_arrays_stay_unchanged_and_match_the_containers(self):
         q = np.full((3, 4), 0.25)
@@ -282,11 +305,17 @@ def test_laplacian_bit_identical_to_add_at(form):
         assert np.array_equal(grad, ref_grad)
 
 
+def _match_by_position(teacher, student, max_distance=0.05):
+    """match_correspondences with ids that no two sides share."""
+    return match_correspondences(teacher, student, max_distance, np.arange(len(teacher)),
+                                 np.arange(len(student)) + len(teacher))
+
+
 class TestMatchCorrespondences:
     def test_identity_pairing(self):
         rng = np.random.default_rng(0)
         points = rng.uniform(0, 1, (30, 3))
-        pairs = match_correspondences(points, points)
+        pairs = _match_by_position(points, points)
         assert pairs.shape == (30, 2) and pairs.dtype == np.int64
         np.testing.assert_array_equal(pairs[:, 0], np.arange(30))
         np.testing.assert_array_equal(pairs[:, 1], np.arange(30))
@@ -296,14 +325,14 @@ class TestMatchCorrespondences:
         grid = np.stack(np.meshgrid(*[np.arange(6) * 0.05] * 3), axis=-1).reshape(-1, 3)
         rng = np.random.default_rng(1)
         jittered = grid + rng.normal(0, 0.001, grid.shape)
-        pairs = match_correspondences(grid, jittered)
+        pairs = _match_by_position(grid, jittered)
         assert len(pairs) == len(grid)
         np.testing.assert_array_equal(pairs[:, 1], np.arange(len(grid)))
 
     def test_cutoff_drops_distant(self):
         teacher = np.zeros((5, 3))
         student = np.ones((5, 3))  # ~1.7 m away
-        pairs = match_correspondences(teacher, student, max_distance=0.05)
+        pairs = _match_by_position(teacher, student, max_distance=0.05)
         assert len(pairs) == 0
 
     @pytest.mark.parametrize(
@@ -313,11 +342,62 @@ class TestMatchCorrespondences:
     def test_pair_at_exactly_the_cutoff_kept(self, cutoff, beyond):
         teacher = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         student = np.array([[cutoff, 0.0, 0.0], [5.0, 0.0, beyond]])
-        pairs = match_correspondences(teacher, student, max_distance=cutoff)
+        pairs = _match_by_position(teacher, student, max_distance=cutoff)
         np.testing.assert_array_equal(pairs[:, 0], [0])
         np.testing.assert_array_equal(pairs[:, 1], [0])
 
     def test_empty_view_warns(self):
         with pytest.warns(UserWarning, match="empty view"):
-            pairs = match_correspondences(np.empty((0, 3)), np.ones((3, 3)))
+            pairs = _match_by_position(np.empty((0, 3)), np.ones((3, 3)))
         assert pairs.shape == (0, 2)
+
+    def test_positions_and_ids_must_pair_up(self):
+        with pytest.raises(ValueError, match="one id"):
+            match_correspondences(np.zeros((3, 3)), np.zeros((2, 3)), 0.05,
+                                  np.arange(2), np.arange(2))
+
+
+class TestMatchByScenePoint:
+    def test_id_held_twice_pairs_with_the_first_row(self):
+        teacher = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        pairs = match_correspondences(teacher, teacher[[2]], 0.05, [4, 9, 4], [4])
+        np.testing.assert_array_equal(pairs, [[0, 0]])
+
+    def test_own_point_wins_over_a_duplicate_position(self):
+        # Row 0 holds another scene point at the same position: the student's
+        # own point, row 2, is its pair whatever the tree would have chosen.
+        teacher = np.array([[0.5, 0.5, 0.5], [2.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        pairs = match_correspondences(teacher, teacher[[0, 2]], 0.05, [1, 2, 3], [3, 1])
+        np.testing.assert_array_equal(pairs, [[0, 2], [1, 0]])
+
+    def test_unheld_ids_fall_back_to_position(self):
+        teacher = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        student = np.array([[1.0, 0.0, 0.01], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        pairs = match_correspondences(teacher, student, 0.05, [10, 11], [12, 10, 13])
+        np.testing.assert_array_equal(pairs, [[0, 1], [1, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.floats(0.0, 0.5))
+    def test_disjoint_ids_give_the_nearest_position(self, seed, n_teacher, n_student, cutoff):
+        rng = np.random.default_rng(seed)
+        teacher = rng.uniform(0, 1, (n_teacher, 3))
+        student = rng.uniform(0, 1, (n_student, 3))
+        pairs = _match_by_position(teacher, student, cutoff)
+        expected = []
+        for i, p in enumerate(student):
+            d = np.sqrt(((teacher - p) ** 2).sum(axis=1))
+            if d.min() <= cutoff:
+                expected.append((i, int(np.argmin(d))))
+        np.testing.assert_array_equal(pairs.reshape(-1, 2), np.array(expected).reshape(-1, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.floats(0.0, 0.2))
+    def test_source_indices_give_the_position_pairs_on_crops(self, seed, n, cutoff):
+        rng = np.random.default_rng(seed)
+        cloud = rng.uniform(0, 1, (n, 3))  # distinct positions
+        crops = [np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+                 for _ in range(2)]
+        teacher, student = (cloud[c] for c in crops)
+        by_ids = match_correspondences(teacher, student, cutoff, *crops)
+        np.testing.assert_array_equal(by_ids, _match_by_position(teacher, student, cutoff))

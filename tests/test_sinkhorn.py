@@ -164,6 +164,20 @@ def _out_of_place_exp(values, temperature):
 
 
 def _out_of_place_sinkhorn(values, temperature, iterations):
+    """diag(u) M diag(v) with a new array per step."""
+    m = _out_of_place_exp(values, temperature)
+    b, k = m.shape
+    u = np.ones(b)
+    for _ in range(iterations):
+        col_mass = u @ m
+        with np.errstate(divide="ignore"):
+            v = np.where(col_mass > 0.0, (b / k) / col_mass, 0.0)
+        u = 1.0 / (m @ v)
+    return u[:, None] * m * v
+
+
+def _alternating_sinkhorn(values, temperature, iterations):
+    """The matrix rescaled in place, columns then rows, every iteration."""
     m = _out_of_place_exp(values, temperature)
     b, k = m.shape
     for _ in range(iterations):
@@ -198,6 +212,16 @@ class TestInPlaceExp:
                 sinkhorn_normalize(values, temperature, iterations),
                 _out_of_place_sinkhorn(values, temperature, iterations),
             )
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_scaling_vectors_match_the_alternating_rescaling(self, case, iterations):
+        values, temperature = list(_bitwise_cases())[case]
+        got = sinkhorn_normalize(values, temperature, iterations)
+        want = _alternating_sinkhorn(values, temperature, iterations)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        nonzero = want != 0.0
+        assert (np.abs(got - want)[nonzero] <= 1e-13 * want[nonzero]).all()
 
     def test_underflowed_column_stays_zero(self):
         values, temperature = list(_bitwise_cases())[3]
