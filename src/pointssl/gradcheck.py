@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import PointCloud, build_knn_graph
 from .losses import clustering_ce, consistency_loss, laplacian_loss
-from .model import encode_backward, encode_features, init_encoder
+from .model import encode_backward, encode_features, flat_views, init_encoder
 from .rng import make_rng
 from .scenes import SceneSpec, generate_room
 from .sinkhorn import softmax_rows
@@ -162,9 +162,9 @@ def _check_step(rng: np.random.Generator) -> float:
         ))
         scene_views.append(make_views(scene, int(rng.integers(0, 2**31)), config.views))
 
-    _, _, grads, _ = step_objective(state, scene_views, 0)
+    _, grads, head = flat_views(state.params, state.head, step_objective(state, scene_views, 0)[2])
     return _worst_tensor_error(
-        tensors, {**grads.params.tensors(), "head.projection": grads.head},
+        tensors, {**grads.tensors(), "head.projection": head.projection},
         lambda: step_objective(state, scene_views, 0)[1],
     )
 

@@ -40,7 +40,8 @@ def clustering_ce(q, logits, temperature: float = 1.0) -> tuple[float, np.ndarra
     exp_shifted = np.exp(log_p)
     row_sums = exp_shifted.sum(axis=1, keepdims=True)
     log_p -= np.log(row_sums)
-    terms = q * log_p
+    with np.errstate(invalid="ignore"):
+        terms = q * log_p
     loss = -terms.sum() / b
     if np.isnan(loss):
         # Only 0 * -inf makes a NaN here: a q = 0 term where a logit is -inf.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class EncoderParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     mask_token: np.ndarray
+    # The vector the tensors view, when flat_views made them.
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {}
@@ -45,20 +47,6 @@ class EncoderParams:
             if not np.isfinite(t).all():
                 raise ValueError(f"non-finite encoder parameter {name!r}")
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.mask_token.copy(),
-        )
-
-    def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(
-            [np.zeros_like(w) for w in self.weights],
-            [np.zeros_like(b) for b in self.biases],
-            np.zeros_like(self.mask_token),
-        )
-
 
 @dataclass
 class PrototypeHead:
@@ -66,29 +54,56 @@ class PrototypeHead:
 
     projection: np.ndarray
 
-    @property
-    def num_prototypes(self) -> int:
-        return self.projection.shape[1]
-
-    def copy(self) -> "PrototypeHead":
-        return PrototypeHead(self.projection.copy())
-
     def normalize_columns(self) -> None:
         norms = np.linalg.norm(self.projection, axis=0, keepdims=True)
         self.projection /= np.maximum(norms, NORM_EPS)
 
 
+def _flat_order(params: EncoderParams, head: PrototypeHead | None) -> list[np.ndarray]:
+    return [*params.biases, params.mask_token, *params.weights, *([head.projection] if head else [])]
+
+
+def decayed_start(params: EncoderParams) -> int:
+    """Where a flat_views vector's weight-decayed tail, the weights and projection, starts."""
+    return sum(b.size for b in params.biases) + params.mask_token.size
+
+
+def flat_views(
+    params: EncoderParams, head: PrototypeHead | None = None, flat: np.ndarray | None = None
+) -> tuple[np.ndarray, EncoderParams, PrototypeHead | None]:
+    """(flat, params, head) as one vector and tensors that view slices of it.
+
+    The vector holds every bias, the mask token, every weight matrix, then the
+    head's projection, so the weight-decayed tensors are one tail; the encoder's
+    part is the returned params' flat.  With no flat given, the vector is a
+    float64 copy of params and head.
+    """
+    tensors = _flat_order(params, head)
+    if flat is None:
+        flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
+    views, end = [], 0
+    for t in tensors:
+        views.append(flat[end:end + t.size].reshape(t.shape))
+        end += t.size
+    n = len(params.weights)
+    encoder = flat[:end - head.projection.size] if head else flat[:end]
+    return (flat, EncoderParams(views[n + 1:2 * n + 1], views[:n], views[n], encoder),
+            PrototypeHead(views[-1]) if head else None)
+
+
 @dataclass
 class TeacherState:
-    """EMA mirror of the student encoder and head."""
+    """EMA mirror of the student: params and head copied into one vector, flat, and viewed."""
 
     params: EncoderParams
     head: PrototypeHead
     momentum: float = 0.996
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must lie in [0, 1]")
+        self.flat, self.params, self.head = flat_views(self.params, self.head)
 
 
 def init_encoder(
@@ -115,10 +130,6 @@ def init_prototype_head(embed_dim: int = 32, num_prototypes: int = 64, seed: int
     head = PrototypeHead(rng.normal(0.0, 1.0, size=(embed_dim, num_prototypes)))
     head.normalize_columns()
     return head
-
-
-def init_teacher(params: EncoderParams, head: PrototypeHead, momentum: float = 0.996) -> TeacherState:
-    return TeacherState(params.copy(), head.copy(), momentum)
 
 
 def point_features(
@@ -215,7 +226,8 @@ def encode_backward(
     g_raw = (g - z * inner[:, None]) / safe[:, None]
     g_raw[cache.floored] = 0.0
 
-    grads = params.zeros_like()
+    size = sum(t.size for t in params.tensors().values())
+    _, grads, _ = flat_views(params, flat=np.zeros(size))
     upstream = g_raw
     last = len(params.weights) - 1
     # The gradient of the layer-0 input is needed only for the mask token.
@@ -226,13 +238,13 @@ def encode_backward(
             # SiLU'(a) = sigmoid(a) * (1 + a * (1 - sigmoid(a))).
             upstream = upstream * (sig * (1.0 + a * (1.0 - sig)))
         h_prev = cache.preactivations[i - 1] * cache.sigmoids[i - 1] if i > 0 else cache.features
-        grads.weights[i] = h_prev.T @ upstream
-        grads.biases[i] = upstream.sum(axis=0)
+        grads.weights[i][...] = h_prev.T @ upstream
+        grads.biases[i][...] = upstream.sum(axis=0)
         if i > 0 or masked:
             upstream = upstream @ params.weights[i].T
 
     if masked:
-        grads.mask_token = upstream[cache.mask].sum(axis=0)
+        grads.mask_token[...] = upstream[cache.mask].sum(axis=0)
     return grads
 
 
@@ -249,29 +261,18 @@ def ema_update(
     student_head: PrototypeHead,
     momentum: float,
 ) -> TeacherState:
-    """teacher <- momentum * teacher + (1 - momentum) * student.
+    """A new teacher, momentum * teacher + (1 - momentum) * student; teacher is not changed.
 
     Prototype columns are re-normalized after the update.
     """
-    t_tensors = teacher.params.tensors()
-    s_tensors = student_params.tensors()
-    if set(t_tensors) != set(s_tensors) or any(
-        t_tensors[k].shape != s_tensors[k].shape for k in t_tensors
-    ):
+    student = _flat_order(student_params, student_head)
+    if [t.shape for t in student] != [t.shape for t in _flat_order(teacher.params, teacher.head)]:
         raise ValueError("teacher and student parameter shapes differ")
-
-    new_params = EncoderParams(
-        [momentum * tw + (1.0 - momentum) * sw
-         for tw, sw in zip(teacher.params.weights, student_params.weights)],
-        [momentum * tb + (1.0 - momentum) * sb
-         for tb, sb in zip(teacher.params.biases, student_params.biases)],
-        momentum * teacher.params.mask_token + (1.0 - momentum) * student_params.mask_token,
-    )
-    new_head = PrototypeHead(
-        momentum * teacher.head.projection + (1.0 - momentum) * student_head.projection
-    )
-    new_head.normalize_columns()
-    return TeacherState(new_params, new_head, momentum)
+    new = TeacherState(teacher.params, teacher.head, momentum)
+    new.flat *= momentum
+    new.flat += (1.0 - momentum) * np.concatenate([t.ravel() for t in student])
+    new.head.normalize_columns()
+    return new
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:

@@ -37,12 +37,13 @@ from .model import (
     EncoderParams,
     PrototypeHead,
     TeacherState,
+    decayed_start,
     encode_backward,
     encode_features,
     ema_update,
     init_encoder,
+    flat_views,
     init_prototype_head,
-    init_teacher,
     point_features,  # not called; perfbench/ traces the layer under this name
     prototype_logits_backward,
     save_model,
@@ -207,20 +208,32 @@ class MetricsRecord:
 
 @dataclass
 class TrainState:
+    """A run's config and step, and four float64 vectors of one layout.
+
+    student (the encoder, then the head), teacher.flat, and Adam's adam_m and
+    adam_v each hold every encoder bias, the mask token, every weight matrix,
+    then the head's projection (model.flat_views).  The constructor copies
+    params and head into student and keeps its views; the moments start at 0.
+    """
+
     config: TrainConfig
     params: EncoderParams
     head: PrototypeHead
     teacher: TeacherState
     step: int = 0
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
-    adam_t: int = 0
+    student: np.ndarray = field(init=False, repr=False)
+    adam_m: np.ndarray = field(init=False, repr=False)
+    adam_v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.student, self.params, self.head = flat_views(self.params, self.head)
+        self.adam_m, self.adam_v = np.zeros_like(self.student), np.zeros_like(self.student)
 
 
 def init_train_state(config: TrainConfig) -> TrainState:
     params = init_encoder(9, config.hidden, config.embed_dim, seed=config.seed)
     head = init_prototype_head(config.embed_dim, config.num_prototypes, seed=config.seed)
-    teacher = init_teacher(params, head, momentum=config.ema_momentum.start)
+    teacher = TeacherState(params, head, momentum=config.ema_momentum.start)
     return TrainState(config=config, params=params, head=head, teacher=teacher)
 
 
@@ -248,31 +261,15 @@ def _derive_seed(config: TrainConfig, step: int, scene_index: int, purpose: int)
 PARALLEL_MIN_SCENE_POINTS = 2000
 
 
-class _GradAccumulator:
-    def __init__(self, params: EncoderParams, head: PrototypeHead):
-        self.params = params.zeros_like()
-        self.head = np.zeros_like(head.projection)
-
-    def add_encoder(self, grads: EncoderParams, scale: float) -> None:
-        for target, source in zip(self.params.tensors().values(), grads.tensors().values()):
-            target += scale * source
-
-    def norm(self) -> float:
-        total = float((self.head**2).sum())
-        for t in self.params.tensors().values():
-            total += float((t**2).sum())
-        return float(np.sqrt(total))
-
-
 def step_objective(
     state: TrainState, scene_views: list[ViewSet], step: int
-) -> tuple[dict[str, float], float, _GradAccumulator, np.ndarray]:
+) -> tuple[dict[str, float], float, np.ndarray, np.ndarray]:
     """The objective of one batch of views and its gradients; state is not changed.
 
     Each term is averaged over the scenes; total weights them by the config's
     clustering weights, the Laplacian schedule at step and consistency_weight.
-    Returns (terms, total, grads, q_all): grads holds d total / d(student
-    encoder, head projection), q_all the pooled Sinkhorn teacher assignments.
+    Returns (terms, total, grads, q_all): grads is d total / d state.student,
+    a vector of its layout, q_all the pooled Sinkhorn teacher assignments.
     """
     return _objective(state, scene_views, step, workers=1)
 
@@ -308,7 +305,8 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
     del pooled
     q_scenes = np.split(q_all, ends[:-1])
 
-    grads = _GradAccumulator(state.params, state.head)
+    grads = np.zeros_like(state.student)
+    head = state.params.flat.size  # where the head's slice starts
     terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
     scale = 1.0 / len(scene_views)
     per_scene = _threads.thread_map(
@@ -321,8 +319,8 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
             terms[key] += value
         for head_grad, encoder_grads in contributions:
             if head_grad is not None:
-                grads.head += scale * head_grad
-            grads.add_encoder(encoder_grads, scale)
+                grads[head:] += scale * head_grad.ravel()
+            grads[:head] += scale * encoder_grads.flat
 
     for key in terms:
         terms[key] *= scale
@@ -480,33 +478,24 @@ def _laplacian_objective(
     return value, encode_backward(state.params, cache_g1, lam * grad)
 
 
-def apply_update(state: TrainState, grads: _GradAccumulator) -> None:
-    """AdamW on the student, EMA of the student into the teacher, then step += 1."""
+def apply_update(state: TrainState, grads: np.ndarray) -> None:
+    """AdamW on the student by grads, EMA of the student into the teacher, then step += 1."""
     config = state.config
     lr = config.lr_at(state.step)
     wd = config.weight_decay.value_at(state.step)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state.adam_t += 1
-    bias1 = 1.0 - beta1**state.adam_t
-    bias2 = 1.0 - beta2**state.adam_t
+    bias1 = 1.0 - beta1 ** (state.step + 1)
+    bias2 = 1.0 - beta2 ** (state.step + 1)
 
-    tensors = {f"encoder.{k}": (t, g) for (k, t), g in zip(
-        state.params.tensors().items(), grads.params.tensors().values()
-    )}
-    tensors["head.projection"] = (state.head.projection, grads.head)
-
-    for name, (param, grad) in tensors.items():
-        m = state.adam_m.setdefault(name, np.zeros_like(param))
-        v = state.adam_v.setdefault(name, np.zeros_like(param))
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
-        # Decoupled weight decay on matrices only, not biases or the token.
-        if name.endswith("weight") or name == "head.projection":
-            update = update + wd * param
-        param -= lr * update
+    state.adam_m *= beta1
+    state.adam_m += (1.0 - beta1) * grads
+    state.adam_v *= beta2
+    state.adam_v += (1.0 - beta2) * grads * grads
+    update = (state.adam_m / bias1) / (np.sqrt(state.adam_v / bias2) + eps)
+    # Decoupled weight decay on the weight matrices and the projection only.
+    decayed = decayed_start(state.params)
+    update[decayed:] += wd * state.student[decayed:]
+    state.student -= lr * update
     state.head.normalize_columns()
 
     momentum = config.ema_momentum.value_at(state.step)
@@ -546,9 +535,16 @@ def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState,
         **terms,
         total=float(total),
         prototype_entropy=prototype_usage_entropy(q_all),
-        grad_norm=grads.norm(),
+        grad_norm=_grad_norm(state, grads),
         wall_time=time.perf_counter() - t_start,
     )
+
+
+def _grad_norm(state: TrainState, grads: np.ndarray) -> float:
+    """The norm of a gradient vector, summed per tensor: the head, then tensors() order."""
+    _, params, head = flat_views(state.params, state.head, grads)
+    tensors = [head.projection, *params.tensors().values()]
+    return float(np.sqrt(sum(float((t**2).sum()) for t in tensors)))
 
 
 def _batch_for_step(scenes: list[PointCloud], config: TrainConfig, step: int) -> list[PointCloud]:

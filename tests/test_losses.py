@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,9 @@ class TestClusteringCE:
         logits[rng.random((b, k)) < 0.3] = -np.inf
         logits[np.arange(b), rng.integers(0, k, b)] = 0.5
         q = softmax_rows(np.where(np.isinf(logits), -np.inf, rng.normal(0, 1, (b, k))))
-        loss, grad = clustering_ce(q, logits, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = clustering_ce(q, logits, tau)
         assert np.isfinite(loss) and np.isfinite(grad).all()
         want_loss, want_grad = 0.0, np.zeros((b, k))
         for i in range(b):

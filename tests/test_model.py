@@ -23,7 +23,6 @@ from pointssl.model import (
     TeacherState,
     encode_backward,
     encode_features,
-    init_teacher,
     load_checkpoint,
     prototype_logits_backward,
     save_checkpoint,
@@ -216,7 +215,7 @@ class TestEma:
     def _pair(seed=0):
         params = init_encoder(9, (8,), 4, seed=seed)
         head = init_prototype_head(4, 6, seed=seed)
-        teacher = init_teacher(params, head)
+        teacher = TeacherState(params, head)
         student = init_encoder(9, (8,), 4, seed=seed + 100)
         student_head = init_prototype_head(4, 6, seed=seed + 100)
         return teacher, student, student_head
@@ -363,7 +362,7 @@ class TestCheckpoint:
     def test_model_roundtrip_reproduces_embeddings_bitwise(self, tmp_path):
         params = init_encoder(seed=11)
         head = init_prototype_head(seed=11)
-        teacher = init_teacher(params, head)
+        teacher = TeacherState(params, head)
         first = tmp_path / "m1.ckpt"
         second = tmp_path / "m2.ckpt"
         save_model(first, params, head, teacher)
@@ -389,7 +388,7 @@ class TestCheckpoint:
         params = init_encoder(hidden=(8, 8), output_dim=4, seed=3)
         head = init_prototype_head(4, 5, seed=3)
         path = tmp_path / "full.ckpt"
-        save_model(path, params, head, init_teacher(params, head))
+        save_model(path, params, head, TeacherState(params, head))
         tensors = load_checkpoint(path)
         del tensors[missing]
         save_checkpoint(path, tensors)

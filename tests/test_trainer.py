@@ -241,7 +241,7 @@ class TestTrainStep:
             ]
             terms, total, grads, _ = step_objective(split, views, step)
             apply_update(split, grads)
-            assert (record.total, record.grad_norm) == (total, grads.norm())
+            assert (record.total, record.grad_norm) == (total, trainer._grad_norm(split, grads))
             assert {name: getattr(record, name) for name in terms} == terms
         assert split.step == stepped.step == 2
         for a, b in zip(split.params.tensors().values(), stepped.params.tensors().values()):
@@ -264,6 +264,33 @@ def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
     _, record = train_step(state, toy_scenes[:4])
     assert record.laplacian > 0.0 and record.consistency > 0.0
     assert built == {"PointCloud": 4}
+
+
+class TestFlatState:
+    def test_weight_decay_lands_on_weight_matrices_only(self):
+        config = _toy_config(weight_decay=0.3, ema_momentum=1.0)
+        state = init_train_state(config)
+        before = {name: t.copy() for name, t in state.params.tensors().items()}
+        apply_update(state, np.zeros_like(state.student))
+        lr = config.lr_at(0)
+        for name, t in state.params.tensors().items():
+            want = before[name] - lr * (0.3 * before[name]) if name.endswith("weight") else before[name]
+            np.testing.assert_array_equal(t, want, err_msg=name)
+
+    def test_tensors_stay_views_of_their_vectors(self, toy_scenes):
+        config = _toy_config()
+        state = init_train_state(config)
+        for updated in (False, True):
+            if updated:
+                views = [make_views(toy_scenes[0], _derive_seed(config, 0, 0, 0), config.views)]
+                apply_update(state, step_objective(state, views, 0)[2])
+            for t in [*state.params.tensors().values(), state.head.projection]:
+                assert np.shares_memory(t, state.student)
+            teacher = state.teacher
+            for t in [*teacher.params.tensors().values(), teacher.head.projection]:
+                assert np.shares_memory(t, teacher.flat)
+        state.params.weights[0][...] = 7.0
+        assert np.count_nonzero(state.student == 7.0) == state.params.weights[0].size
 
 
 class TestSceneThreads:
@@ -289,14 +316,13 @@ class TestSceneThreads:
             (a.teacher.params.tensors(), b.teacher.params.tensors()),
             ({"head": a.head.projection}, {"head": b.head.projection}),
             ({"teacher.head": a.teacher.head.projection}, {"teacher.head": b.teacher.head.projection}),
-            (a.adam_m, b.adam_m),
-            (a.adam_v, b.adam_v),
+            ({"adam_m": a.adam_m, "adam_v": a.adam_v}, {"adam_m": b.adam_m, "adam_v": b.adam_v}),
         ]
         for got, want in tensors:
             assert got.keys() == want.keys()
             for name in got:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-        assert a.adam_t == b.adam_t == 3 and a.step == b.step == 3
+        assert a.step == b.step == 3 and a.adam_v.any()
 
     def test_scene_error_on_a_thread_reaches_the_caller(self, toy_scenes, monkeypatch):
         threads = force_threads(monkeypatch, cpus=2)
@@ -305,7 +331,7 @@ class TestSceneThreads:
         tiny = toy_scenes[0].select(np.arange(100))
         with pytest.raises(ValueError, match="need at least 256"):
             train_step(state, [toy_scenes[1], tiny, toy_scenes[2]])
-        assert state.step == 0 and state.adam_t == 0
+        assert state.step == 0 and not state.adam_m.any() and not state.adam_v.any()
         assert threading.get_ident() not in threads
 
 
