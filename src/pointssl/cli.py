@@ -22,6 +22,17 @@ import numpy as np
 logger = logging.getLogger("pointssl")
 
 
+def _config_overrides(args) -> dict:
+    """The --config file's JSON object, with --seed, when given, as its seed."""
+    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"--config {args.config} must hold a JSON object, "
+                         f"not {type(overrides).__name__}")
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return overrides
+
+
 def _add_align(subparsers):
     p = subparsers.add_parser("align", help="align a directory of PLY scenes")
     p.add_argument("--input", required=True, help="directory of input .ply files")
@@ -37,13 +48,8 @@ def _add_align(subparsers):
 def _cmd_align(args) -> int:
     from .pipeline import PipelineConfig, cli_align
 
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     try:
-        config = PipelineConfig.from_dict(overrides)
+        config = PipelineConfig.from_dict(_config_overrides(args))
     except (TypeError, ValueError) as exc:
         logger.error("bad pipeline config: %s", exc)
         return 1
@@ -150,13 +156,8 @@ def _cmd_train_toy(args) -> int:
     from .ply import read_ply
     from .trainer import TrainConfig, run_training
 
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     try:
-        config = TrainConfig.from_dict(overrides)
+        config = TrainConfig.from_dict(_config_overrides(args))
     except (TypeError, ValueError) as exc:
         logger.error("bad train config: %s", exc)
         return 1

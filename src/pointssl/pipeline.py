@@ -240,12 +240,14 @@ def cli_align(
 
     Report rows come back in input order regardless of completion order;
     unreadable files produce error rows and the batch continues.  An
-    input_dir that is not a directory raises ValueError before output_dir
-    is made.
+    input_dir that is not a directory, or jobs below 1, raises ValueError
+    before output_dir is made.
     """
     input_dir = Path(input_dir)
     if not input_dir.is_dir():
         raise ValueError(f"input_dir {input_dir} is not a directory")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(input_dir.glob("*.ply"))

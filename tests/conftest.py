@@ -25,6 +25,17 @@ def toy_room(seed: int = 0, **overrides) -> PointCloud:
     return cloud
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves a Python thread running: every pool must be
+    joined before its caller returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
+
+
 @pytest.fixture(scope="session")
 def toy_scenes():
     return [toy_room(seed=100 + i) for i in range(8)]

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -7,7 +5,7 @@ from scipy.spatial import cKDTree
 from pointssl import EmptyCloudError, estimate_normals, geometry, sor_filter
 from pointssl.geometry import self_knn, survivor_neighbors
 
-from conftest import force_threads, make_cloud, toy_room
+from conftest import make_cloud, toy_room
 
 
 def reference_normals(cloud, k):
@@ -140,14 +138,8 @@ def test_bit_identical_to_reference():
         assert np.array_equal(degenerate, ref_degenerate)
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
-def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
-    threads = force_threads(monkeypatch, cpus)
+def test_row_blocks_match_reference(big_room):
     out, degenerate = estimate_normals(big_room, k=16)
-    if cpus == 1:
-        assert threads == {threading.get_ident()}
-    else:
-        assert threads and threading.get_ident() not in threads
     ref_normals, ref_degenerate = reference_normals(big_room, 16)
     assert np.array_equal(out.normals, ref_normals)
     assert np.array_equal(degenerate, ref_degenerate)

@@ -1,6 +1,4 @@
 import itertools
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ from pointssl import EmptyCloudError, detect_dominant_plane, geometry
 from pointssl.geometry import sample_triples
 from pointssl.rng import make_rng
 
-from conftest import force_threads, make_cloud
+from conftest import make_cloud
 
 
 def reference_hypotheses(points, iterations, seed):
@@ -231,8 +229,7 @@ class TestPreemption:
 
 
 def reference_inlier_counts(points, normals, offsets, inlier_threshold):
-    """Every point scored against 128 hypotheses at a time in one matrix, as
-    detect_dominant_plane did before it split the points into row blocks."""
+    """Every point scored against 128 hypotheses at a time in one matrix."""
     counts = []
     for start in range(0, len(normals), 128):
         sl = slice(start, min(start + 128, len(normals)))
@@ -241,38 +238,11 @@ def reference_inlier_counts(points, normals, offsets, inlier_threshold):
     return np.concatenate(counts)
 
 
-class TestRowThreads:
-    @pytest.mark.parametrize("cpus", [8, 2, 1])
-    def test_counts_match_whole_matrix_scoring(self, big_room, monkeypatch, cpus):
-        # More workers than CPUs, switching as often as the interpreter
-        # allows, give a block that wrote into another's scratch the most
-        # chances to change a count.
-        threads = force_threads(monkeypatch, cpus)
-        points = big_room.positions
-        # 300 hypotheses: the last block of 128 is a short one
-        normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [geometry._inlier_counts(points, normals, offsets, 0.02) for _ in range(10)]
-        finally:
-            sys.setswitchinterval(interval)
-        if cpus == 1:
-            assert threads == {threading.get_ident()}
-        else:
-            assert threads and threading.get_ident() not in threads
-        expected = reference_inlier_counts(points, normals, offsets, 0.02)
-        assert expected.max() > 0.15 * len(points)  # the floor is among them
-        for counts in runs:
-            assert np.array_equal(counts, expected)
-
-    def test_threads_match_inline(self, big_room, monkeypatch):
-        planes = []
-        for cpus in (2, 1):
-            threads = force_threads(monkeypatch, cpus)
-            planes.append(detect_dominant_plane(big_room, 512, 0.02, seed=7))
-            assert (threading.get_ident() in threads) == (cpus == 1)
-        threaded, inline = planes
-        assert np.array_equal(threaded.normal, inline.normal)
-        assert threaded.offset == inline.offset
-        assert threaded.inlier_count == inline.inlier_count
+def test_counts_match_whole_matrix_scoring(big_room):
+    points = big_room.positions
+    # 300 hypotheses: the last block of 128 is a short one
+    normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
+    counts = geometry._inlier_counts(points, normals, offsets, 0.02)
+    expected = reference_inlier_counts(points, normals, offsets, 0.02)
+    assert expected.max() > 0.15 * len(points)  # the floor is among them
+    assert np.array_equal(counts, expected)

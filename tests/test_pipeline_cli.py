@@ -54,6 +54,12 @@ class TestAlignScene:
         assert abs(plane.offset) < 0.01
         assert aligned.normals is not None
 
+    def test_runs_on_the_calling_thread(self, big_room, monkeypatch):
+        # Only scipy's kd-tree query has worker threads of its own.
+        threads = force_threads(monkeypatch, cpus=2)
+        align_scene(big_room, PipelineConfig(), scene_seed=0)
+        assert threads <= {threading.get_ident()}
+
     def test_already_aligned_near_identity(self):
         cloud, _ = generate_room(SceneSpec(seed=2, max_points=6000))
         diag = aabb_diagonal(cloud)
@@ -155,40 +161,34 @@ class TestCliAlign:
         assert [r.name for r in report.rows] == sorted(r.name for r in report.rows)
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        scenes = tmp_path / "in"
-        scenes.mkdir()
-        for i in range(3):
-            write_ply(scenes / f"s{i}.ply", toy_room(seed=10 + i, max_points=2000))
-        config = PipelineConfig(downsample_points=1500)
-        serial = cli_align(scenes, tmp_path / "o1", config)
-        for jobs in (2, 3):
-            out = tmp_path / f"jobs{jobs}"
-            parallel = cli_align(scenes, out, config, jobs=jobs)
-            assert len(parallel.rows) == len(serial.rows) == 3
-            for a, b in zip(serial.rows, parallel.rows):
-                assert _untimed(a) == _untimed(b)
-                assert (out / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
+        # The second input's scenes leave SOR, RANSAC and the normals several
+        # row blocks each.
+        inputs = [
+            ([toy_room(seed=10 + i, max_points=2000) for i in range(3)], 1500),
+            ([toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000)
+              for i in range(2)], 2500),
+        ]
+        for case, (rooms, downsample) in enumerate(inputs):
+            scenes = tmp_path / f"in{case}"
+            scenes.mkdir()
+            for i, room in enumerate(rooms):
+                write_ply(scenes / f"s{i}.ply", room)
+            config = PipelineConfig(downsample_points=downsample)
+            serial_out = tmp_path / f"serial{case}"
+            serial = cli_align(scenes, serial_out, config)
+            for jobs in (2, 3):
+                out = tmp_path / f"jobs{case}_{jobs}"
+                parallel = cli_align(scenes, out, config, jobs=jobs)
+                assert len(parallel.rows) == len(serial.rows) == len(rooms)
+                for a, b in zip(serial.rows, parallel.rows):
+                    assert _untimed(a) == _untimed(b)
+                    assert (out / a.name).read_bytes() == (serial_out / a.name).read_bytes()
+        assert all(downsample - r.sor_removed > 2 * geometry._ROW_BLOCK for r in serial.rows)
 
-    def test_parallel_jobs_with_row_pools_match_serial(self, tmp_path, monkeypatch):
-        # Scenes of several row blocks: each scene thread of --jobs 2 runs
-        # SOR, RANSAC and normals on a row pool of its own; --jobs 1 on one
-        # CPU runs every block inline.
-        scenes = tmp_path / "in"
-        scenes.mkdir()
-        for i in range(2):
-            write_ply(scenes / f"s{i}.ply",
-                      toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000))
-        config = PipelineConfig(downsample_points=2500)
-        force_threads(monkeypatch, cpus=1)
-        serial = cli_align(scenes, tmp_path / "o1", config)
-        assert all(config.downsample_points - r.sor_removed > 2 * geometry._ROW_BLOCK
-                   for r in serial.rows)
-        threads = force_threads(monkeypatch, cpus=2)
-        parallel = cli_align(scenes, tmp_path / "o2", config, jobs=2)
-        assert threads and threading.get_ident() not in threads
-        for a, b in zip(serial.rows, parallel.rows, strict=True):
-            assert _untimed(a) == _untimed(b)
-            assert (tmp_path / "o2" / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
+    def test_jobs_below_1_rejected_before_output_is_made(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            cli_align(tmp_path, tmp_path / "out", jobs=0)
+        assert not (tmp_path / "out").exists()
 
     def test_report_roundtrips(self):
         rows = [
@@ -318,6 +318,14 @@ class TestCliCommands:
          {"config.json": "{"}, "Expecting"),
         (["align", "--config", "config.json", "--input", "scenes", "--output", "out"],
          {"config.json": "{"}, "Expecting"),
+        (["train-toy", "--config", "config.json", "--scenes", "scenes", "--out", "run",
+          "--seed", "3"], {"config.json": "[1, 2]"}, "must hold a JSON object, not list"),
+        (["align", "--config", "config.json", "--input", "scenes", "--output", "out",
+          "--seed", "3"], {"config.json": "[1, 2]"}, "must hold a JSON object, not list"),
+        (["align", "--config", "config.json", "--input", "scenes", "--output", "out"],
+         {"config.json": "null"}, "must hold a JSON object, not NoneType"),
+        (["align", "--input", "scenes", "--output", "outdir", "--jobs", "-2", "--seed", "0"],
+         {"scenes/s0.ply": "ply\n"}, "jobs must be at least 1, got -2"),
         (["gen-scenes", "--out", "out", "--count", "1", "--points", "0"], {},
          "max_points must lie in [1, inf)"),
         (["gen-scenes", "--out", "out", "--count", "1", "--density", "-5"], {},
@@ -346,6 +354,7 @@ class TestCliCommands:
         (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
             "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
+            "train-config-list", "align-config-list", "align-config-null", "jobs-negative",
             "points-0", "density-negative", "outlier-fraction-negative", "count-negative",
             "holes-negative", "tilt-max-negative", "seed-negative", "floor-not-dominant",
             "last-scene-floor-not-dominant", "out-is-a-file", "input-missing",
