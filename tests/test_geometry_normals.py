@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,7 +7,7 @@ from scipy.spatial import cKDTree
 from pointssl import EmptyCloudError, estimate_normals, geometry, sor_filter
 from pointssl.geometry import self_knn, survivor_neighbors
 
-from conftest import make_cloud, toy_room
+from conftest import force_threads, make_cloud, toy_room
 
 
 def reference_normals(cloud, k):
@@ -138,8 +140,13 @@ def test_bit_identical_to_reference():
         assert np.array_equal(degenerate, ref_degenerate)
 
 
-def test_row_blocks_match_reference(big_room):
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
+    # The CPU count reaches only the kd-tree query's workers=; the row
+    # blocks run on the calling thread.
+    threads = force_threads(monkeypatch, cpus)
     out, degenerate = estimate_normals(big_room, k=16)
+    assert threads <= {threading.get_ident()}
     ref_normals, ref_degenerate = reference_normals(big_room, 16)
     assert np.array_equal(out.normals, ref_normals)
     assert np.array_equal(degenerate, ref_degenerate)

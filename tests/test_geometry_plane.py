@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pointssl import EmptyCloudError, detect_dominant_plane, geometry
 from pointssl.geometry import sample_triples
 from pointssl.rng import make_rng
 
-from conftest import make_cloud
+from conftest import force_threads, make_cloud
 
 
 def reference_hypotheses(points, iterations, seed):
@@ -238,11 +239,17 @@ def reference_inlier_counts(points, normals, offsets, inlier_threshold):
     return np.concatenate(counts)
 
 
-def test_counts_match_whole_matrix_scoring(big_room):
-    points = big_room.positions
-    # 300 hypotheses: the last block of 128 is a short one
-    normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
-    counts = geometry._inlier_counts(points, normals, offsets, 0.02)
-    expected = reference_inlier_counts(points, normals, offsets, 0.02)
-    assert expected.max() > 0.15 * len(points)  # the floor is among them
-    assert np.array_equal(counts, expected)
+class TestRowThreads:
+    @pytest.mark.parametrize("cpus", [8, 2, 1])
+    def test_counts_match_whole_matrix_scoring(self, big_room, monkeypatch, cpus):
+        # Scoring has no threads: whatever CPU count is reported, it runs on
+        # the calling thread and gives the one-matrix counts.
+        threads = force_threads(monkeypatch, cpus)
+        points = big_room.positions
+        # 300 hypotheses: the last block of 128 is a short one
+        normals, offsets, _ = reference_hypotheses(points, 300, seed=7)
+        counts = geometry._inlier_counts(points, normals, offsets, 0.02)
+        assert threads <= {threading.get_ident()}
+        expected = reference_inlier_counts(points, normals, offsets, 0.02)
+        assert expected.max() > 0.15 * len(points)  # the floor is among them
+        assert np.array_equal(counts, expected)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,7 +7,7 @@ from scipy.spatial import cKDTree
 from pointssl import PointCloud, sor_filter
 from pointssl.geometry import mean_knn_distances
 
-from conftest import make_cloud, toy_room
+from conftest import force_threads, make_cloud, toy_room
 
 
 def brute_force_sor_survivors(points, k, std_mult):
@@ -110,10 +112,15 @@ def test_mean_knn_distances_bit_identical_to_reference():
             assert np.array_equal(mean_knn_distances(points, k), expected)
 
 
-def test_row_blocks_match_reference(big_room):
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_row_blocks_match_reference_on_any_thread_count(big_room, monkeypatch, cpus):
+    # The CPU count reaches only the kd-tree query's workers=; the row
+    # blocks run on the calling thread.
+    threads = force_threads(monkeypatch, cpus)
     points = big_room.positions
     means = mean_knn_distances(points, 16)
     survivors = sor_filter(big_room, k=16, std_mult=2.0)
+    assert threads <= {threading.get_ident()}
 
     _, nbr = cKDTree(points).query(points, k=17)
     diff = points[:, None, :] - points[nbr]

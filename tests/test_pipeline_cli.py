@@ -161,29 +161,40 @@ class TestCliAlign:
         assert [r.name for r in report.rows] == sorted(r.name for r in report.rows)
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        # The second input's scenes leave SOR, RANSAC and the normals several
-        # row blocks each.
-        inputs = [
-            ([toy_room(seed=10 + i, max_points=2000) for i in range(3)], 1500),
-            ([toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000)
-              for i in range(2)], 2500),
-        ]
-        for case, (rooms, downsample) in enumerate(inputs):
-            scenes = tmp_path / f"in{case}"
-            scenes.mkdir()
-            for i, room in enumerate(rooms):
-                write_ply(scenes / f"s{i}.ply", room)
-            config = PipelineConfig(downsample_points=downsample)
-            serial_out = tmp_path / f"serial{case}"
-            serial = cli_align(scenes, serial_out, config)
-            for jobs in (2, 3):
-                out = tmp_path / f"jobs{case}_{jobs}"
-                parallel = cli_align(scenes, out, config, jobs=jobs)
-                assert len(parallel.rows) == len(serial.rows) == len(rooms)
-                for a, b in zip(serial.rows, parallel.rows):
-                    assert _untimed(a) == _untimed(b)
-                    assert (out / a.name).read_bytes() == (serial_out / a.name).read_bytes()
-        assert all(downsample - r.sor_removed > 2 * geometry._ROW_BLOCK for r in serial.rows)
+        scenes = tmp_path / "in"
+        scenes.mkdir()
+        for i in range(3):
+            write_ply(scenes / f"s{i}.ply", toy_room(seed=10 + i, max_points=2000))
+        config = PipelineConfig(downsample_points=1500)
+        serial = cli_align(scenes, tmp_path / "o1", config)
+        for jobs in (2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            parallel = cli_align(scenes, out, config, jobs=jobs)
+            assert len(parallel.rows) == len(serial.rows) == 3
+            for a, b in zip(serial.rows, parallel.rows):
+                assert _untimed(a) == _untimed(b)
+                assert (out / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
+
+    def test_parallel_jobs_with_row_pools_match_serial(self, tmp_path, monkeypatch):
+        # Scenes of several row blocks: each scene thread of --jobs 2 runs
+        # SOR, RANSAC and normals block by block on its own thread, and its
+        # kd-tree queries on 2 workers; --jobs 1 on one CPU runs it all inline.
+        scenes = tmp_path / "in"
+        scenes.mkdir()
+        for i in range(2):
+            write_ply(scenes / f"s{i}.ply",
+                      toy_room(seed=10 + i, extents=(3.2, 2.4, 1.6), max_points=3000))
+        config = PipelineConfig(downsample_points=2500)
+        force_threads(monkeypatch, cpus=1)
+        serial = cli_align(scenes, tmp_path / "o1", config)
+        assert all(config.downsample_points - r.sor_removed > 2 * geometry._ROW_BLOCK
+                   for r in serial.rows)
+        threads = force_threads(monkeypatch, cpus=2)
+        parallel = cli_align(scenes, tmp_path / "o2", config, jobs=2)
+        assert threads and threading.get_ident() not in threads
+        for a, b in zip(serial.rows, parallel.rows, strict=True):
+            assert _untimed(a) == _untimed(b)
+            assert (tmp_path / "o2" / a.name).read_bytes() == (tmp_path / "o1" / a.name).read_bytes()
 
     def test_jobs_below_1_rejected_before_output_is_made(self, tmp_path):
         with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
