@@ -8,7 +8,8 @@ Library surface:
 - sinkhorn: teacher soft assignments and the student softmax.
 - losses: clustering_ce, laplacian_loss (pairwise and Huber-residual forms)
   and consistency_loss over plain arrays, all with analytic gradients;
-  match_correspondences pairs points as an (M, 2) array of index rows.
+  match_correspondences pairs the points of two views of one scene through
+  the scene's neighbor lists, as an (M, 2) array of index rows.
 - model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
 - views: the two global and the local crops of a scene as arrays of encoder
   features (View), grid masking over positions, and noisy views (noise_view).

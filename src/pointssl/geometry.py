@@ -83,6 +83,23 @@ class PointCloud:
         # perfbench/spans.py's observe_sor reads this name.
         return len(self.positions)
 
+    def neighbors_within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every point's other points within radius, as (starts, neighbors).
+
+        Point i's list is neighbors[starts[i]:starts[i + 1]], sorted by
+        (distance, index); a coincident duplicate is listed at distance 0.
+        The lists are built on the first call for a radius and kept as long
+        as the cloud, so a training run builds each scene's once; they grow
+        with the radius, to every pair of points once it spans the cloud.
+        """
+        cache = self.__dict__.setdefault("_neighbor_lists", {})
+        radius = float(radius)
+        lists = cache.get(radius)
+        if lists is None:
+            # Threads that miss at once each build; every caller gets the first stored.
+            lists = cache.setdefault(radius, _neighbor_lists(self.positions, radius))
+        return lists
+
     def select(self, index: np.ndarray) -> "PointCloud":
         """Subset every per-point array by a boolean mask or index array."""
         return PointCloud(
@@ -186,6 +203,26 @@ def _exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # reference regardless of how the tree accumulated its internal distances.
     diff = a - b
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+
+
+def _neighbor_lists(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """PointCloud.neighbors_within's (starts, neighbors), read-only, from one pair query."""
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    # The inflated (and floored) bound keeps every pair the exact filter
+    # keeps, the tree's rounding at its bound and a subnormal radius included.
+    bound = max(radius * (1.0 + 1e-9), 1e-100)
+    i, j = cKDTree(points).query_pairs(bound, output_type="ndarray").T
+    dist = _exact_distances(points[i], points[j])
+    keep = dist <= radius
+    source = np.concatenate([i[keep], j[keep]])
+    target = np.concatenate([j[keep], i[keep]])
+    dist = np.concatenate([dist[keep], dist[keep]])
+    neighbors = target[np.lexsort((target, dist, source))]
+    starts = np.zeros(len(points) + 1, np.intp)
+    np.cumsum(np.bincount(source, minlength=len(points)), out=starts[1:])
+    starts.flags.writeable = neighbors.flags.writeable = False
+    return starts, neighbors
 
 
 def self_knn(points: np.ndarray, k: int) -> np.ndarray:

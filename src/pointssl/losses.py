@@ -12,9 +12,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import KnnGraph
+from .geometry import KnnGraph, PointCloud
 from .sinkhorn import _checked_assignments, _checked_logits
 
 PAIRWISE = "pairwise"
@@ -176,48 +175,51 @@ def consistency_loss(
 
 
 def match_correspondences(
-    teacher_positions: np.ndarray,
-    student_positions: np.ndarray,
-    max_distance: float,
-    teacher_ids: np.ndarray,
+    scene: PointCloud,
     student_ids: np.ndarray,
+    teacher_ids: np.ndarray,
+    max_distance: float,
 ) -> np.ndarray:
-    """Teacher match for every student point: its own point first, else the nearest.
+    """Teacher match for every student point: its own scene point first, else the nearest.
 
-    The ids name the points (a view's source_indices into its scene), so rows
-    with equal ids lie at the same position.  A student row whose id some
-    teacher row holds is paired with the first such teacher row, at distance
-    0; every other student row is paired with its nearest teacher point by
-    position, and dropped when that is farther than max_distance.  Both
-    position arrays must be expressed in the same pre-augmentation frame.
+    The ids name points of scene, as a view's source_indices do.  A student
+    row whose point a teacher row holds pairs with the first such teacher
+    row.  Every other student row takes the nearest scene point within
+    max_distance that a teacher row holds, by (distance, scene index), and
+    pairs with that point's first teacher row; it is dropped when there is
+    none.  The candidates come from scene.neighbors_within(max_distance),
+    built on the scene's first match at that distance and kept with it.
 
     Returns an (M, 2) int64 array of (student, teacher) index rows, student
     indices ascending.  Each student row is matched on its own, so matching
     several student sets stacked into one array gives each row the pair it
     would get alone.
     """
-    teacher_positions = np.asarray(teacher_positions, dtype=np.float64)
-    student_positions = np.asarray(student_positions, dtype=np.float64)
-    teacher_ids, student_ids = np.asarray(teacher_ids), np.asarray(student_ids)
-    if len(teacher_ids) != len(teacher_positions) or len(student_ids) != len(student_positions):
-        raise ValueError("every position needs one id")
-    if len(teacher_positions) == 0 or len(student_positions) == 0:
+    student_ids = np.asarray(student_ids, dtype=np.intp)
+    teacher_ids = np.asarray(teacher_ids, dtype=np.intp)
+    for ids in (student_ids, teacher_ids):
+        if ids.ndim != 1 or (len(ids) and not 0 <= ids.min() <= ids.max() < len(scene)):
+            raise ValueError(f"ids must name points of the {len(scene)}-point scene")
+    starts, neighbors = scene.neighbors_within(max_distance)
+    if len(teacher_ids) == 0 or len(student_ids) == 0:
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
         return np.empty((0, 2), np.int64)
-    ids, first = np.unique(teacher_ids, return_index=True)
-    slot = np.minimum(np.searchsorted(ids, student_ids), len(ids) - 1)
-    nearest = first[slot]
-    keep = (ids[slot] == student_ids) & (max_distance >= 0.0)
-    rest = np.flatnonzero(~keep)
+    # Each scene point's first teacher row, or no_row where no teacher row holds it.
+    no_row = len(teacher_ids)
+    first_row = np.full(len(scene), no_row, np.intp)
+    np.minimum.at(first_row, teacher_ids, np.arange(no_row))
+    match = first_row[student_ids]
+    rest = np.flatnonzero(match == no_row)
     if len(rest):
-        # The tree keeps only distances strictly below its bound, and none at
-        # all below a subnormal bound, so the bound is inflated (and floored)
-        # to keep every pair the filter below keeps; unmatched rows come back
-        # with dist = inf.
-        bound = max(max_distance * (1.0 + 1e-9), 1e-100)
-        dist, nearest[rest] = cKDTree(teacher_positions).query(
-            student_positions[rest], k=1, distance_upper_bound=bound
-        )
-        keep[rest] = dist <= max_distance
-    students = np.flatnonzero(keep)
-    return np.column_stack((students, nearest[students]))
+        # Every list entry of the unmatched rows, in order: entry e belongs to
+        # rest[owner[e]], and each row's first held entry is its match.
+        lo = starts[student_ids[rest]]
+        counts = starts[student_ids[rest] + 1] - lo
+        owner = np.repeat(np.arange(len(rest)), counts)
+        entry = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        held = first_row[neighbors[entry]]
+        hit = np.flatnonzero(held != no_row)
+        hit = hit[np.diff(owner[hit], prepend=-1) != 0]
+        match[rest[owner[hit]]] = held[hit]
+    students = np.flatnonzero(match != no_row)
+    return np.column_stack((students, match[students]))

@@ -181,7 +181,8 @@ def encode_features(
     h = f
     preacts, sigs = [], []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = h @ w + b
+        a = h @ w
+        a += b
         # sigmoid(a) = 1 / (1 + exp(-a)), computed in place.
         sig = np.negative(a)
         np.exp(sig, out=sig)
@@ -190,12 +191,14 @@ def encode_features(
         preacts.append(a)
         sigs.append(sig)
         h = a * sig
-    raw = h @ params.weights[-1] + params.biases[-1]
+    raw = h @ params.weights[-1]
+    raw += params.biases[-1]
 
     norms = np.linalg.norm(raw, axis=1)
     floored = norms < NORM_EPS
     safe = np.where(floored, 1.0, norms)
-    z = raw / safe[:, None]
+    z = raw
+    z /= safe[:, None]
     if floored.any():
         z[floored] = 0.0
         z[floored, 0] = 1.0
@@ -223,7 +226,9 @@ def encode_backward(
     g = np.asarray(grad_embeddings, dtype=np.float64)
     # Through row normalization: (g - z (z . g)) / |raw|; floored rows are constant.
     inner = np.einsum("ij,ij->i", z, g)
-    g_raw = (g - z * inner[:, None]) / safe[:, None]
+    g_raw = z * inner[:, None]
+    np.subtract(g, g_raw, out=g_raw)
+    g_raw /= safe[:, None]
     g_raw[cache.floored] = 0.0
 
     size = sum(t.size for t in params.tensors().values())
@@ -235,8 +240,13 @@ def encode_backward(
     for i in range(last, -1, -1):
         if i < last:
             a, sig = cache.preactivations[i], cache.sigmoids[i]
-            # SiLU'(a) = sigmoid(a) * (1 + a * (1 - sigmoid(a))).
-            upstream = upstream * (sig * (1.0 + a * (1.0 - sig)))
+            # SiLU'(a) = sigmoid(a) * (1 + a * (1 - sigmoid(a))), times upstream.
+            d_act = np.subtract(1.0, sig)
+            d_act *= a
+            d_act += 1.0
+            d_act *= sig
+            d_act *= upstream
+            upstream = d_act
         h_prev = cache.preactivations[i - 1] * cache.sigmoids[i - 1] if i > 0 else cache.features
         grads.weights[i][...] = h_prev.T @ upstream
         grads.biases[i][...] = upstream.sum(axis=0)

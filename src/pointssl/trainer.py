@@ -6,8 +6,12 @@ single Sinkhorn assignment, and trains the student on the masked global
 view and on a scene's local views, stacked into one pass, with the three
 clustering terms plus the Laplacian and consistency regularizers.  Terms
 that pair points across views pair a point with its own scene point where
-the other view holds it (g0's row before g1's), and otherwise with the
-nearest point within the correspondence cutoff.  Only the student receives
+the other view holds it, and otherwise with the nearest scene point within
+the correspondence cutoff that the other view holds, the lower scene index
+winning a tie in distance; the pair is that point's first row in the other
+view, g0's row before g1's for the unmask term.  The candidates come from
+each scene's neighbor lists, built on its first step and kept with its
+PointCloud (PointCloud.neighbors_within).  Only the student receives
 gradients; the teacher moves through the EMA alone.  A fixed seed
 reproduces the metrics stream bit-for-bit (wall time aside), whether or not
 the scenes run on threads.
@@ -375,8 +379,7 @@ def _scene_objective(
 
     # Roll loss: swapped global views as targets, matched by scene point.
     pairs = match_correspondences(
-        g1.original_positions, g0.original_positions, config.correspondence_cutoff,
-        g1.source_indices, g0.source_indices,
+        views.scene, g0.source_indices, g1.source_indices, config.correspondence_cutoff
     )
     if len(pairs):
         students, teachers = pairs.T
@@ -400,8 +403,7 @@ def _scene_objective(
         )
         teacher_emb = encode_features(state.teacher.params, xa.features).embeddings
         pairs_cons = match_correspondences(
-            xa.original_positions, g0.original_positions, config.correspondence_cutoff,
-            xa.source_indices, g0.source_indices,
+            views.scene, g0.source_indices, xa.source_indices, config.correspondence_cutoff
         )
         if len(pairs_cons):
             value, grad = consistency_loss(teacher_emb, cache_g0.embeddings, pairs_cons)
@@ -435,11 +437,10 @@ def _unmask_objective(
         return None, []
     g0, g1 = views.global_views
     pairs = match_correspondences(
-        np.concatenate([g0.original_positions, g1.original_positions]),
-        np.concatenate([view.original_positions for view in views.local_views]),
-        config.correspondence_cutoff,
-        np.concatenate([g0.source_indices, g1.source_indices]),
+        views.scene,
         np.concatenate([view.source_indices for view in views.local_views]),
+        np.concatenate([g0.source_indices, g1.source_indices]),
+        config.correspondence_cutoff,
     )
     if not len(pairs):
         return None, []

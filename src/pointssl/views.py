@@ -1,12 +1,11 @@
 """Teacher/student view generation: crops, masking, and noise augmentation.
 
 A scene yields 2 global and 4 local views.  Every view keeps its source
-indices into the scene and its scene-frame coordinates, so losses that pair
-points across views can match them in the shared original frame; the
-augmentation itself is applied, not stored.  All randomness is drawn from
-the counter-based generator in `rng`, with one stream per purpose, so a
-fixed seed reproduces views bit-for-bit and skipping one consumer never
-shifts another.
+indices into the scene, so losses that pair points across views can match
+them through the scene's points; the augmentation itself is applied, not
+stored.  All randomness is drawn from the counter-based generator in `rng`,
+with one stream per purpose, so a fixed seed reproduces views bit-for-bit
+and skipping one consumer never shifts another.
 """
 
 from __future__ import annotations
@@ -61,14 +60,12 @@ class View:
     jittered rgb and rotated normals, with zero columns where the scene has no
     colors or normals.  The augmented xyz is rotation @ (flip * p) + jitter
     for a z-rotation, random x/y sign flips and Gaussian jitter, none of which
-    is kept.  source_indices map every view point back into the scene;
-    original_positions are its scene-frame coordinates p.  A View takes its
-    arrays over and marks them read-only.
+    is kept.  source_indices map every view point back to its scene point p.
+    A View takes its arrays over and marks them read-only.
     """
 
     features: np.ndarray
     source_indices: np.ndarray
-    original_positions: np.ndarray
 
     def __post_init__(self):
         for array in vars(self).values():
@@ -80,6 +77,7 @@ class ViewSet:
     global_views: tuple[View, View]
     local_views: tuple[View, ...]
     mask: np.ndarray  # on global_views[0], the masked student view
+    scene: PointCloud  # the cloud every view's source_indices index
 
 
 def _z_rotation(angle: float) -> np.ndarray:
@@ -116,7 +114,7 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
         colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
     normals = None if scene.normals is None else (scene.normals[indices] * flip) @ rotation.T
     features = point_features((original * flip) @ rotation.T + jitter, colors, normals)
-    return View(features, indices, original)
+    return View(features, indices)
 
 
 def grid_mask(
@@ -157,8 +155,8 @@ def grid_mask(
 def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
     """Gaussian coordinate perturbation plus uniform point dropout of a view.
 
-    The surviving rows keep their source indices and scene-frame positions;
-    only their xyz features move.  The input view is not changed.
+    The surviving rows keep their source indices; only their xyz features
+    move.  The input view is not changed.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
@@ -169,7 +167,7 @@ def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
     features = view.features[kept]
     if sigma > 0.0:
         features[:, :3] += rng.normal(0.0, sigma, size=(len(kept), 3))
-    return View(features, view.source_indices[kept], view.original_positions[kept])
+    return View(features, view.source_indices[kept])
 
 
 def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) -> ViewSet:
@@ -194,4 +192,4 @@ def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) 
         for _ in range(config.num_local)
     )
     mask = grid_mask(globals_[0].features[:, :3], config.grid_size, config.mask_ratio, seed)
-    return ViewSet(globals_, locals_, mask)
+    return ViewSet(globals_, locals_, mask, scene)

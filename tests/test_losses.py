@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from pointssl import (
     KnnGraph,
+    PointCloud,
+    TrainConfig,
     build_knn_graph,
     clustering_ce,
     consistency_loss,
     laplacian_loss,
     match_correspondences,
+    run_training,
     softmax_rows,
 )
+from pointssl import geometry
 from pointssl.gradcheck import finite_difference, relative_error
 
 from conftest import make_cloud
@@ -310,9 +314,48 @@ def test_laplacian_bit_identical_to_add_at(form):
 
 
 def _match_by_position(teacher, student, max_distance=0.05):
-    """match_correspondences with ids that no two sides share."""
-    return match_correspondences(teacher, student, max_distance, np.arange(len(teacher)),
-                                 np.arange(len(student)) + len(teacher))
+    """match_correspondences on a scene of the teacher then the student points."""
+    scene = PointCloud(np.concatenate([teacher, student]).reshape(-1, 3))
+    return match_correspondences(scene, np.arange(len(student)) + len(teacher),
+                                 np.arange(len(teacher)), max_distance)
+
+
+def _scene_with(points_at: dict, n: int) -> PointCloud:
+    """An n-point scene holding the given positions at the given indices; the
+    other points lie far apart on a line, 100 m out."""
+    positions = np.column_stack([100.0 + 10.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    for index, position in points_at.items():
+        positions[index] = position
+    return PointCloud(positions)
+
+
+def _brute_match(positions, student_ids, teacher_ids, cutoff):
+    """Loop reference: the own point's first teacher row, else the nearest held
+    point within the cutoff by (distance, scene index), and its first row."""
+    pairs = []
+    for i, sid in enumerate(student_ids):
+        rows = np.flatnonzero(teacher_ids == sid)
+        if not len(rows):
+            d = np.sqrt(((positions[teacher_ids] - positions[sid]) ** 2).sum(axis=1))
+            if d.min() > cutoff:
+                continue
+            nearest = teacher_ids[d == d.min()].min()
+            rows = np.flatnonzero(teacher_ids == nearest)
+        pairs.append((i, rows[0]))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+# Positions drawn from a lattice of 1/16 m repeat, tie in distance and meet a
+# cutoff exactly (its coordinates and their squared differences are exact);
+# uniform ones almost surely do none of these.
+positions_strategy = st.sampled_from(["uniform", "lattice"])
+cutoff_strategy = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+def _draw_positions(rng, n, kind):
+    if kind == "lattice":
+        return rng.integers(0, 5, (n, 3)) / 16.0
+    return rng.uniform(0, 1, (n, 3))
 
 
 class TestMatchCorrespondences:
@@ -356,37 +399,60 @@ class TestMatchCorrespondences:
         assert pairs.shape == (0, 2)
 
     def test_positions_and_ids_must_pair_up(self):
-        with pytest.raises(ValueError, match="one id"):
-            match_correspondences(np.zeros((3, 3)), np.zeros((2, 3)), 0.05,
-                                  np.arange(2), np.arange(2))
+        # Every id must name a point of the scene.
+        scene = PointCloud(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="points of the 3-point scene"):
+            match_correspondences(scene, np.arange(2), np.array([0, 3]), 0.05)
+        with pytest.raises(ValueError, match="points of the 3-point scene"):
+            match_correspondences(scene, np.array([-1]), np.arange(2), 0.05)
 
 
 class TestMatchByScenePoint:
     def test_id_held_twice_pairs_with_the_first_row(self):
-        teacher = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        pairs = match_correspondences(teacher, teacher[[2]], 0.05, [4, 9, 4], [4])
+        scene = _scene_with({4: [0.0, 0.0, 0.0], 9: [1.0, 0.0, 0.0]}, 10)
+        pairs = match_correspondences(scene, [4], [4, 9, 4], 0.05)
         np.testing.assert_array_equal(pairs, [[0, 0]])
 
     def test_own_point_wins_over_a_duplicate_position(self):
-        # Row 0 holds another scene point at the same position: the student's
-        # own point, row 2, is its pair whatever the tree would have chosen.
-        teacher = np.array([[0.5, 0.5, 0.5], [2.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
-        pairs = match_correspondences(teacher, teacher[[0, 2]], 0.05, [1, 2, 3], [3, 1])
+        # Scene point 1 lies where point 3 does: the student's own point, row
+        # 2, is its pair although point 1 has the lower index.
+        scene = _scene_with({1: [0.5, 0.5, 0.5], 2: [2.0, 0.0, 0.0], 3: [0.5, 0.5, 0.5]}, 4)
+        pairs = match_correspondences(scene, [3, 1], [1, 2, 3], 0.05)
         np.testing.assert_array_equal(pairs, [[0, 2], [1, 0]])
 
     def test_unheld_ids_fall_back_to_position(self):
-        teacher = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        student = np.array([[1.0, 0.0, 0.01], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        pairs = match_correspondences(teacher, student, 0.05, [10, 11], [12, 10, 13])
+        scene = _scene_with({10: [0.0, 0.0, 0.0], 11: [1.0, 0.0, 0.0],
+                             12: [1.0, 0.0, 0.01], 13: [5.0, 0.0, 0.0]}, 14)
+        pairs = match_correspondences(scene, [12, 10, 13], [10, 11], 0.05)
         np.testing.assert_array_equal(pairs, [[0, 1], [1, 0]])
+
+    def test_nearest_point_held_by_both_global_views_pairs_with_g0s_row(self):
+        # The unmask term's teachers are g0's rows, then g1's.  Here both
+        # views hold all 16 points of a 1 m line, and each local point lies
+        # 0.25 m past one of them.  The kd-tree that matched by position
+        # before the neighbor lists returned g1's row for 8 of the 16.
+        m = 16
+        line = np.column_stack([np.arange(m, dtype=float), np.zeros(m), np.zeros(m)])
+        scene = PointCloud(np.concatenate([line, line + [0.25, 0.0, 0.0]]))
+        g0 = g1 = np.arange(m)
+        pairs = match_correspondences(scene, np.arange(m) + m, np.concatenate([g0, g1]), 0.5)
+        np.testing.assert_array_equal(pairs, np.column_stack([np.arange(m), np.arange(m)]))
+
+    def test_equidistant_points_pair_with_the_lower_scene_index(self):
+        # Scene points 1 and 2 lie 0.1 m either side of the student, point 0;
+        # the teacher holds point 2 in its first row.
+        scene = _scene_with({0: [0.0, 0.0, 0.0], 1: [-0.1, 0.0, 0.0], 2: [0.1, 0.0, 0.0]}, 3)
+        pairs = match_correspondences(scene, [0], [2, 1], 0.2)
+        np.testing.assert_array_equal(pairs, [[0, 1]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
-           st.floats(0.0, 0.5))
-    def test_disjoint_ids_give_the_nearest_position(self, seed, n_teacher, n_student, cutoff):
+           cutoff_strategy, positions_strategy)
+    def test_disjoint_ids_give_the_nearest_position(self, seed, n_teacher, n_student, cutoff,
+                                                     kind):
         rng = np.random.default_rng(seed)
-        teacher = rng.uniform(0, 1, (n_teacher, 3))
-        student = rng.uniform(0, 1, (n_student, 3))
+        teacher = _draw_positions(rng, n_teacher, kind)
+        student = _draw_positions(rng, n_student, kind)
         pairs = _match_by_position(teacher, student, cutoff)
         expected = []
         for i, p in enumerate(student):
@@ -396,12 +462,58 @@ class TestMatchByScenePoint:
         np.testing.assert_array_equal(pairs.reshape(-1, 2), np.array(expected).reshape(-1, 2))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.floats(0.0, 0.2))
-    def test_source_indices_give_the_position_pairs_on_crops(self, seed, n, cutoff):
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), cutoff_strategy, positions_strategy)
+    def test_source_indices_give_the_position_pairs_on_crops(self, seed, n, cutoff, kind):
         rng = np.random.default_rng(seed)
-        cloud = rng.uniform(0, 1, (n, 3))  # distinct positions
+        cloud = _draw_positions(rng, n, kind)
         crops = [np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
                  for _ in range(2)]
-        teacher, student = (cloud[c] for c in crops)
-        by_ids = match_correspondences(teacher, student, cutoff, *crops)
-        np.testing.assert_array_equal(by_ids, _match_by_position(teacher, student, cutoff))
+        teacher, student = crops
+        pairs = match_correspondences(PointCloud(cloud), student, teacher, cutoff)
+        np.testing.assert_array_equal(pairs, _brute_match(cloud, student, teacher, cutoff))
+
+
+class TestNeighborLists:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120),
+           st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 0.3)), positions_strategy)
+    def test_lists_equal_brute_force(self, seed, n, radius, kind):
+        points = _draw_positions(np.random.default_rng(seed), n, kind)
+        starts, neighbors = PointCloud(points).neighbors_within(radius)
+        assert starts[0] == 0 and starts[-1] == len(neighbors)
+        for i, p in enumerate(points):
+            d = np.sqrt(((points - p) ** 2).sum(axis=1))
+            others = np.flatnonzero((d <= radius) & (np.arange(n) != i))
+            want = others[np.lexsort((others, d[others]))]
+            np.testing.assert_array_equal(neighbors[starts[i]:starts[i + 1]], want)
+
+    def test_built_once_per_cloud_and_radius(self, monkeypatch):
+        calls = []
+        build = geometry._neighbor_lists
+        monkeypatch.setattr(geometry, "_neighbor_lists",
+                            lambda points, radius: calls.append(radius) or build(points, radius))
+        cloud = make_cloud(np.random.default_rng(3).uniform(0, 1, (200, 3)))
+        first = cloud.neighbors_within(0.05)
+        assert cloud.neighbors_within(0.05) is first
+        match_correspondences(cloud, np.arange(50), np.arange(40, 200), 0.05)
+        assert calls == [0.05]
+        cloud.neighbors_within(0.1)
+        assert calls == [0.05, 0.1]
+        # A selection is a new cloud, with lists of its own.
+        cloud.select(np.arange(100)).neighbors_within(0.05)
+        assert calls == [0.05, 0.1, 0.05]
+
+    def test_a_training_run_builds_one_list_per_scene(self, monkeypatch, toy_scenes):
+        calls = []
+        build = geometry._neighbor_lists
+        monkeypatch.setattr(geometry, "_neighbor_lists",
+                            lambda points, radius: calls.append(len(points)) or build(points, radius))
+        scenes = [scene.select(np.arange(len(scene))) for scene in toy_scenes[:2]]
+        config = TrainConfig(total_steps=3, batch_size=2, hidden=(8,), embed_dim=4,
+                             num_prototypes=8)
+        run_training(config, scenes)
+        assert sorted(calls) == sorted(len(scene) for scene in scenes)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_cloud(np.zeros((10, 3))).neighbors_within(-0.1)

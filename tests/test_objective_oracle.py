@@ -123,7 +123,8 @@ def _reference_objective(state, scene_views, step):
         if len(masked):
             terms["mask"] += _cross_entropy(q0[masked], logits0[masked], tau_s)
 
-        pairs = _match(g1.original_positions, g0.original_positions,
+        positions = views.scene.positions
+        pairs = _match(positions[g1.source_indices], positions[g0.source_indices],
                        g1.source_indices, g0.source_indices, cutoff)
         if pairs:
             terms["roll"] += _cross_entropy(
@@ -134,8 +135,8 @@ def _reference_objective(state, scene_views, step):
         for local in views.local_views:
             local_logits = _embed(state.params, local.features) @ head
             for s, t in _match(
-                np.concatenate([g0.original_positions, g1.original_positions]),
-                local.original_positions,
+                positions[np.concatenate([g0.source_indices, g1.source_indices])],
+                positions[local.source_indices],
                 np.concatenate([g0.source_indices, g1.source_indices]),
                 local.source_indices, cutoff,
             ):
@@ -156,7 +157,7 @@ def _reference_objective(state, scene_views, step):
             noisy = noise_view(g1, config.views.noise_sigma, config.views.noise_dropout,
                                _derive_seed(config, step, i, 1))
             z_noisy = _embed(state.teacher.params, noisy.features)
-            pairs = _match(noisy.original_positions, g0.original_positions,
+            pairs = _match(positions[noisy.source_indices], positions[g0.source_indices],
                            noisy.source_indices, g0.source_indices, cutoff)
             if pairs:
                 terms["consistency"] += sum(
