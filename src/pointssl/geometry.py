@@ -225,6 +225,20 @@ def _neighbor_lists(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.n
     return starts, neighbors
 
 
+def gather_lists(
+    lists: tuple[np.ndarray, np.ndarray], ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor lists of the points ids, one after another, from
+    neighbors_within's (starts, neighbors): returns (owner, neighbors), where
+    neighbors[e] is in the list of ids[owner[e]]."""
+    starts, neighbors = lists
+    first = starts[ids]
+    counts = starts[ids + 1] - first
+    owner = np.repeat(np.arange(len(ids)), counts)
+    entries = np.arange(len(owner)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return owner, neighbors[entries]
+
+
 def self_knn(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, counting the point
     itself (or, among coincident duplicates, one of them in its place).
@@ -288,42 +302,42 @@ def build_knn_graph(
     cloud: PointCloud,
     k: int,
     max_radius: float,
+    among: np.ndarray | None = None,
 ) -> KnnGraph:
     """Build the exact k-nearest-neighbor graph with Gaussian edge weights.
 
     Each point contributes up to k outgoing edges to its nearest neighbors by
     Euclidean distance; edges longer than max_radius are removed.  Coincident
-    duplicates of a point get no edge and take none of its k places.  Among
-    neighbors exactly equidistant at the k-th place, the tree's traversal
-    decides which are kept, not their order in the cloud.  The weight scale
-    sigma is the median of the retained neighbor distances.
+    duplicates of a point get no edge and take none of its k places.  The
+    weight scale sigma is the median of the retained neighbor distances.
+
+    Without among, the graph is over every point of the cloud, found by a
+    bounded tree query; among neighbors exactly equidistant at the k-th place,
+    the tree's traversal decides which are kept, not their order in the cloud.
+
+    With among, an index array of distinct points of the cloud, node i is the
+    point among[i] and its neighbors are the other points among holds.  They
+    come from cloud.neighbors_within(max_radius), so no tree is built and the
+    lists are kept with the cloud for the next call; a node's edges are in
+    (distance, index) order, and at a tie at the k-th place the lower cloud
+    index wins.  Otherwise the graph is build_knn_graph(cloud.select(among),
+    k, max_radius).
 
     Raises:
-        EmptyCloudError: fewer than 2 points.
+        EmptyCloudError: fewer than 2 points (or ids in among).
         DegenerateGeometryError: all points coincide (sigma would be 0).
+        ValueError: among repeats an id or names one outside the cloud.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
-    pts = cloud.positions
-    n = len(pts)
-    if n < 2:
-        raise EmptyCloudError("kNN graph needs at least 2 points")
-
-    tree = cKDTree(pts)
-    if tree.query_ball_point(pts[0], r=0.0, return_length=True) == n:
-        raise DegenerateGeometryError("all points coincide; sigma would be 0")
-    # The tree keeps only distances strictly below its bound; the inflated
-    # bound still returns every neighbor the exact filter below keeps.
-    nbr = _bounded_knn(tree, k, max_radius * (1.0 + 1e-9))
-    rows, slots = np.nonzero(nbr < n)
-    cols = nbr[rows, slots]
-    dvals = _exact_distances(pts[rows], pts[cols])
-    # Each row holds at most k points at a positive distance, so dropping
-    # zero-distance entries leaves at most k outgoing edges per point.
-    keep = (rows != cols) & (dvals > 0.0) & (dvals <= max_radius)
-    src, tgt, dvals = rows[keep], cols[keep], dvals[keep]
+    if among is not None:
+        src, tgt, dvals = _edges_among(cloud, k, max_radius, among)
+        n = len(among)
+    else:
+        src, tgt, dvals = _edges_by_tree(cloud.positions, k, max_radius)
+        n = len(cloud)
 
     if dvals.size == 0:
         return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
@@ -342,6 +356,65 @@ def build_knn_graph(
         max_radius=float(max_radius),
         num_nodes=n,
     )
+
+
+def _edges_by_tree(
+    pts: np.ndarray, k: int, max_radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_knn_graph's (source, target, distance) over every point, from a tree."""
+    n = len(pts)
+    if n < 2:
+        raise EmptyCloudError("kNN graph needs at least 2 points")
+    tree = cKDTree(pts)
+    if tree.query_ball_point(pts[0], r=0.0, return_length=True) == n:
+        raise DegenerateGeometryError("all points coincide; sigma would be 0")
+    # The tree keeps only distances strictly below its bound; the inflated
+    # bound still returns every neighbor the exact filter below keeps.
+    nbr = _bounded_knn(tree, k, max_radius * (1.0 + 1e-9))
+    rows, slots = np.nonzero(nbr < n)
+    cols = nbr[rows, slots]
+    dvals = _exact_distances(pts[rows], pts[cols])
+    # Each row holds at most k points at a positive distance, so dropping
+    # zero-distance entries leaves at most k outgoing edges per point.
+    keep = (rows != cols) & (dvals > 0.0) & (dvals <= max_radius)
+    return rows[keep], cols[keep], dvals[keep]
+
+
+def _edges_among(
+    cloud: PointCloud, k: int, max_radius: float, among
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_knn_graph's (source, target, distance) over the points among
+    names, from the cloud's neighbor lists; nodes are positions in among."""
+    among = np.asarray(among)
+    n, m = len(cloud), len(among)
+    if among.ndim != 1 or (m and not np.issubdtype(among.dtype, np.integer)):
+        raise ValueError(f"among must be a 1-D integer array, got {among.dtype} {among.shape}")
+    if m and (among.min() < 0 or among.max() >= n):
+        raise ValueError(f"among names points outside the cloud of {n}")
+    if m < 2:
+        raise EmptyCloudError("kNN graph needs at least 2 points")
+    node = np.full(n, -1, np.int64)
+    node[among] = np.arange(m)
+    if (node[among] != np.arange(m)).any():
+        raise ValueError("among repeats a point")
+
+    rows, points = gather_lists(cloud.neighbors_within(max_radius), among)
+    keep = node[points] >= 0
+    rows, points = rows[keep], points[keep]
+    # np.take gathers rows several times faster than fancy indexing.
+    pts = cloud.positions
+    dvals = _exact_distances(np.take(pts, among[rows], axis=0), np.take(pts, points, axis=0))
+    keep = dvals > 0.0
+    if not keep.any() and (np.take(pts, among, axis=0) == pts[among[0]]).all():
+        raise DegenerateGeometryError("all points coincide; sigma would be 0")
+    # Coincident duplicates take none of the k places, so they go before the
+    # rows are cut; each row's first k then are its k nearest in-view points.
+    rows, points, dvals = rows[keep], points[keep], dvals[keep]
+    per_row = np.bincount(rows, minlength=m)
+    if per_row.max() > k:
+        keep = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows] < k
+        rows, points, dvals = rows[keep], points[keep], dvals[keep]
+    return rows, node[points], dvals
 
 
 def mean_knn_distances(points: np.ndarray, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .geometry import KnnGraph, PointCloud
+from .geometry import KnnGraph, PointCloud, gather_lists
 from .sinkhorn import _checked_assignments, _checked_logits
 
 PAIRWISE = "pairwise"
@@ -200,7 +200,7 @@ def match_correspondences(
     for ids in (student_ids, teacher_ids):
         if ids.ndim != 1 or (len(ids) and not 0 <= ids.min() <= ids.max() < len(scene)):
             raise ValueError(f"ids must name points of the {len(scene)}-point scene")
-    starts, neighbors = scene.neighbors_within(max_distance)
+    lists = scene.neighbors_within(max_distance)
     if len(teacher_ids) == 0 or len(student_ids) == 0:
         warnings.warn("correspondence matching with an empty view", stacklevel=2)
         return np.empty((0, 2), np.int64)
@@ -213,11 +213,8 @@ def match_correspondences(
     if len(rest):
         # Every list entry of the unmatched rows, in order: entry e belongs to
         # rest[owner[e]], and each row's first held entry is its match.
-        lo = starts[student_ids[rest]]
-        counts = starts[student_ids[rest] + 1] - lo
-        owner = np.repeat(np.arange(len(rest)), counts)
-        entry = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        held = first_row[neighbors[entry]]
+        owner, listed = gather_lists(lists, student_ids[rest])
+        held = first_row[listed]
         hit = np.flatnonzero(held != no_row)
         hit = hit[np.diff(owner[hit], prepend=-1) != 0]
         match[rest[owner[hit]]] = held[hit]

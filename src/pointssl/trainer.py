@@ -11,10 +11,13 @@ the correspondence cutoff that the other view holds, the lower scene index
 winning a tie in distance; the pair is that point's first row in the other
 view, g0's row before g1's for the unmask term.  The candidates come from
 each scene's neighbor lists, built on its first step and kept with its
-PointCloud (PointCloud.neighbors_within).  Only the student receives
-gradients; the teacher moves through the EMA alone.  A fixed seed
-reproduces the metrics stream bit-for-bit (wall time aside), whether or not
-the scenes run on threads.
+PointCloud (PointCloud.neighbors_within).  The Laplacian smooths the
+student's embeddings of g1 over a kNN graph of g1's points in the scene
+frame, read from the same scene's lists at the Laplacian's radius, so the
+view's augmentation (rotation, flips, jitter) does not change the graph.
+Only the student receives gradients; the teacher moves through the EMA
+alone.  A fixed seed reproduces the metrics stream bit-for-bit (wall time
+aside), whether or not the scenes run on threads.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .model import (
 )
 from .rng import make_rng
 from .sinkhorn import sinkhorn_normalize
-from .views import MIN_SCENE_POINTS, View, ViewConfig, ViewSet, make_views, noise_view
+from .views import MIN_SCENE_POINTS, ViewConfig, ViewSet, make_views, noise_view
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,9 @@ class TrainConfig:
     huber_delta: float = within(0.5, "(0, inf)")
     laplacian_form: str = HUBER_RESIDUAL
     laplacian_knn: int = within(24, "[1, inf)")
+    # Each scene keeps neighbor lists at these two radii for the whole run
+    # (PointCloud.neighbors_within).  They grow with the radius squared; only
+    # the graph built from them is bounded by laplacian_knn.
     laplacian_max_radius: float = within(0.08, "(0, inf)")
     correspondence_cutoff: float = within(0.05, "[0, inf)")  # 0 keeps the pairs at distance 0
     sinkhorn_iterations: int = within(3, "[1, inf)")
@@ -390,7 +396,7 @@ def _scene_objective(
     value, contributions = _unmask_objective(state, views, q)
     if value is not None:
         terms["unmask"] = value
-    value, laplacian_grads = _laplacian_objective(state, g1, lam)
+    value, laplacian_grads = _laplacian_objective(state, views, lam)
     if value is not None:
         terms["laplacian"] = value
 
@@ -458,9 +464,14 @@ def _unmask_objective(
 
 
 def _laplacian_objective(
-    state: TrainState, g1: View, lam: float
+    state: TrainState, views: ViewSet, lam: float
 ) -> tuple[float | None, EncoderParams | None]:
     """Laplacian smoothing on the student's unmasked global view.
+
+    The graph is over g1's points in the scene frame: each point's nearest
+    scene points that g1 holds, by scene-frame distance, from the scene's
+    neighbor lists at laplacian_max_radius.  So the rotation, flips and
+    jitter that augment g1's features leave the graph as it is.
 
     Returns the unweighted term and the encoder gradient of lam times it,
     or (None, None) when lam is 0 or the graph has no edges.
@@ -468,9 +479,10 @@ def _laplacian_objective(
     if lam <= 0.0:
         return None, None
     config = state.config
+    g1 = views.global_views[1]
     cache_g1 = encode_features(state.params, g1.features)
-    cloud = PointCloud(g1.features[:, :3])
-    graph = build_knn_graph(cloud, config.laplacian_knn, config.laplacian_max_radius)
+    graph = build_knn_graph(views.scene, config.laplacian_knn, config.laplacian_max_radius,
+                            among=g1.source_indices)
     if not graph.num_edges:
         return None, None
     value, grad = laplacian_loss(

@@ -40,6 +40,8 @@ def test_traced_train_step_breaks_no_observer(perfbench_modules, tmp_path):
         tracer.remove()
     assert tracer.broken == set()
     assert tracer.counts["sinkhorn.rows"] > 0
+    # The Laplacian's graph goes through the traced build_knn_graph.
+    assert tracer.counts["geometry.knn_edges"] > 0
     assert 0 < tracer.counts["losses.matched"] <= tracer.counts["losses.queried"]
     # Most points match; a result counted by its length as 2 per call would not.
     assert tracer.counts["losses.matched"] > tracer.counts["losses.queried"] / 2

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointssl import (
     DegenerateGeometryError,
@@ -259,3 +261,87 @@ def test_duplicates_with_signed_zeros_match_oracle_distances():
         got = graph_edges(build_knn_graph(make_cloud(points), k=k, max_radius=1.0))
         expected = brute_force_knn(points, k, 1.0)
         assert distances_by_source(got) == distances_by_source(expected)
+
+
+def brute_force_among(points, among, k, max_radius):
+    """Reference for build_knn_graph(among=): per node, the other nodes at a
+    positive distance within max_radius, first k by (distance, point index)."""
+    source, target, distance = [], [], []
+    for row, i in enumerate(among):
+        d = np.sqrt(((points[among] - points[i]) ** 2).sum(axis=1))
+        near = sorted((d[col], among[col], col) for col in range(len(among))
+                      if 0.0 < d[col] <= max_radius)
+        for dist, _, col in near[:k]:
+            source.append(row)
+            target.append(col)
+            distance.append(dist)
+    return np.array(source, np.int64), np.array(target, np.int64), np.array(distance)
+
+
+class TestAmong:
+    """build_knn_graph(cloud, k, max_radius, among=ids), read from the cloud's lists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.sampled_from([1, 2, 24]),
+           st.integers(1, 4))
+    def test_equals_brute_force_on_a_lattice_with_duplicates(self, seed, n, k, spacing):
+        # Points on a 1/16 m lattice have exact distances, so many tie, and
+        # at a radius of sqrt(spacing) / 16 the k-th place often falls on a tie.
+        rng = np.random.default_rng(seed)
+        sites = rng.integers(0, 4, (n, 3)) / 16.0
+        points = np.concatenate([sites, sites[rng.integers(0, n, n // 3)]])
+        among = rng.choice(len(points), int(rng.integers(2, len(points) + 1)), replace=False)
+        radius = float(np.sqrt(spacing / 256.0))
+        cloud = make_cloud(points)
+        if (points[among] == points[among[0]]).all():
+            with pytest.raises(DegenerateGeometryError):
+                build_knn_graph(cloud, k, radius, among=among)
+            return
+        graph = build_knn_graph(cloud, k, radius, among=among)
+        source, target, distance = brute_force_among(points, among, k, radius)
+        assert graph.num_nodes == len(among)
+        np.testing.assert_array_equal(graph.source, source)
+        np.testing.assert_array_equal(graph.target, target)
+        np.testing.assert_array_equal(graph.distance, distance)
+        if len(distance):
+            assert graph.sigma == np.median(distance)
+            np.testing.assert_array_equal(graph.weight, np.exp(-((distance / graph.sigma) ** 2)))
+
+    @pytest.mark.parametrize("k", [1, 4, 24])
+    def test_equals_the_graph_of_the_selection(self, k):
+        rng = np.random.default_rng(20 + k)
+        cloud = make_cloud(rng.uniform(0, 1, (400, 3)))
+        ids = rng.choice(400, 250, replace=False)
+        for radius in (0.1, 0.2):
+            want = build_knn_graph(cloud.select(ids), k, radius)
+            got = build_knn_graph(cloud, k, radius, among=ids)
+            assert got.num_edges > 0 and got.num_nodes == want.num_nodes
+            # The tree path lists a row's edges by distance too, and uniform
+            # points have no ties.
+            for name in ("source", "target", "distance", "weight"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.sigma == want.sigma
+
+    @pytest.mark.parametrize("ids", [[0, 3, 3], [1, 2, 1, 5]])
+    def test_repeated_ids_rejected(self, ids):
+        cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+        with pytest.raises(ValueError, match="repeats"):
+            build_knn_graph(cloud, 2, 0.5, among=np.array(ids))
+
+    @pytest.mark.parametrize("ids", [[0, 10], [-1, 4]])
+    def test_ids_outside_the_cloud_rejected(self, ids):
+        cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+        with pytest.raises(ValueError, match="outside"):
+            build_knn_graph(cloud, 2, 0.5, among=np.array(ids))
+
+    @pytest.mark.parametrize("ids", [[], [4]])
+    def test_fewer_than_two_ids(self, ids):
+        cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+        with pytest.raises(EmptyCloudError):
+            build_knn_graph(cloud, 2, 0.5, among=np.array(ids, np.int64))
+
+    def test_coincident_ids_degenerate(self):
+        # The cloud has other points; the ids name only copies of one.
+        cloud = make_cloud([[0, 0, 0], [1, 1, 1], [0, 0, 0], [0.5, 0, 0], [-0.0, 0, 0]])
+        with pytest.raises(DegenerateGeometryError):
+            build_knn_graph(cloud, 2, 2.0, among=np.array([4, 0, 2]))

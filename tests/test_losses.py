@@ -504,15 +504,20 @@ class TestNeighborLists:
         assert calls == [0.05, 0.1, 0.05]
 
     def test_a_training_run_builds_one_list_per_scene(self, monkeypatch, toy_scenes):
+        # One list per scene and radius: matching's cutoff and the Laplacian's.
         calls = []
         build = geometry._neighbor_lists
         monkeypatch.setattr(geometry, "_neighbor_lists",
-                            lambda points, radius: calls.append(len(points)) or build(points, radius))
+                            lambda points, radius: calls.append((id(points), radius))
+                            or build(points, radius))
         scenes = [scene.select(np.arange(len(scene))) for scene in toy_scenes[:2]]
         config = TrainConfig(total_steps=3, batch_size=2, hidden=(8,), embed_dim=4,
                              num_prototypes=8)
         run_training(config, scenes)
-        assert sorted(calls) == sorted(len(scene) for scene in scenes)
+        assert sorted(calls) == sorted(
+            (id(scene.positions), radius) for scene in scenes
+            for radius in (config.correspondence_cutoff, config.laplacian_max_radius)
+        )
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

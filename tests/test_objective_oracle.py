@@ -15,8 +15,9 @@ definition, row by row, and checks step_objective's terms and total to
   the nearest teacher point within the cutoff;
 - mask: g0's masked rows against q0; roll: g0 against q1 of its matched g1
   rows; unmask: the local views against q0 and q1;
-- the Laplacian's Huber residual point by point over the kNN graph of g1
-  (the graph itself is checked against brute force by criterion 3);
+- the Laplacian's Huber residual point by point over the kNN graph of g1's
+  points in the scene frame, built by the tree query on their own cloud
+  (that graph is checked against brute force by criterion 3);
 - consistency: g0 against the teacher's embeddings of the noisy g1.
 """
 
@@ -146,8 +147,8 @@ def _reference_objective(state, scene_views, step):
             terms["unmask"] += _cross_entropy(q_targets, student_logits, tau_s)
 
         if lam > 0.0:
-            graph = build_knn_graph(PointCloud(g1.features[:, :3]), config.laplacian_knn,
-                                    config.laplacian_max_radius)
+            graph = build_knn_graph(PointCloud(positions[g1.source_indices]),
+                                    config.laplacian_knn, config.laplacian_max_radius)
             if graph.num_edges:
                 terms["laplacian"] += _huber_residual_loss(
                     _embed(state.params, g1.features), graph, config.huber_delta

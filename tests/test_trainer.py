@@ -1,6 +1,7 @@
 import json
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from pointssl import (
     run_training,
     train_step,
 )
-from pointssl import trainer
+from pointssl import geometry, trainer
 from pointssl.rng import make_rng
 from pointssl.trainer import _derive_seed, apply_update, step_objective
+from pointssl.views import View
 
 from conftest import force_threads
 
@@ -250,20 +252,57 @@ class TestTrainStep:
 
 
 def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
-    # The losses, views and Sinkhorn take the step's arrays as they are; the
-    # only containers a step builds are one cloud a scene for the Laplacian's
-    # kNN graph.
+    # The losses, views and Sinkhorn take the step's arrays as they are, and
+    # the Laplacian's graph and the matching read the scenes' neighbor lists:
+    # once a scene's lists are built, a step builds no cloud and no tree.
+    state = init_train_state(_toy_config(batch_size=4))
+    state, _ = train_step(state, toy_scenes[:4])
     built = Counter()
 
     def counting(self, _check=PointCloud.__post_init__):
         built["PointCloud"] += 1
         _check(self)
 
+    def counting_tree(*args, _tree=geometry.cKDTree, **kwargs):
+        built["cKDTree"] += 1
+        return _tree(*args, **kwargs)
+
     monkeypatch.setattr(PointCloud, "__post_init__", counting)
-    state = init_train_state(_toy_config(batch_size=4))
+    monkeypatch.setattr(geometry, "cKDTree", counting_tree)
     _, record = train_step(state, toy_scenes[:4])
     assert record.laplacian > 0.0 and record.consistency > 0.0
-    assert built == {"PointCloud": 4}
+    assert built == {}
+
+
+def test_the_laplacian_graph_is_in_the_scene_frame(toy_scenes, monkeypatch):
+    # Two view sets whose g1 holds the same scene points under another
+    # rotation and jitter give the Laplacian one graph, of scene distances.
+    scene = toy_scenes[0]
+    views = make_views(scene, 7)
+    g0, g1 = views.global_views
+    rng = np.random.default_rng(8)
+    c, s = np.cos(1.3), np.sin(1.3)
+    features = g1.features.copy()
+    features[:, :3] = (scene.positions[g1.source_indices] @ np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]).T
+                       + rng.normal(0.0, 0.005, (len(features), 3)))
+    moved = replace(views, global_views=(g0, View(features, g1.source_indices)))
+
+    graphs = []
+    build = trainer.build_knn_graph
+    monkeypatch.setattr(trainer, "build_knn_graph",
+                        lambda *args, **kwargs: graphs.append(build(*args, **kwargs)) or graphs[-1])
+    state = init_train_state(_toy_config(laplacian_schedule=1e-3))
+    for view_set in (views, moved):
+        step_objective(state, [view_set], 0)
+    first, second = graphs
+    assert first.num_edges > 0 and first.num_nodes == len(g1.source_indices)
+    for name in ("source", "target", "distance", "weight"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    points = scene.positions[g1.source_indices]
+    np.testing.assert_allclose(
+        first.distance, np.linalg.norm(points[first.source] - points[first.target], axis=1),
+        rtol=1e-15,
+    )
 
 
 class TestFlatState:
