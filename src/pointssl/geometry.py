@@ -115,17 +115,15 @@ class KnnGraph:
 
     Edges are stored as parallel arrays (source, target, distance, weight);
     weight = exp(-(distance / sigma)^2), where sigma is the median edge
-    distance (NaN when there is no edge).  Edges beyond max_radius are absent
-    and every stored distance is strictly positive.
+    distance (NaN when there is no edge).  Every stored distance is strictly
+    positive; build_knn_graph keeps none beyond its max_radius.
     """
 
-    k: int
     source: np.ndarray
     target: np.ndarray
     distance: np.ndarray
     weight: np.ndarray
     sigma: float
-    max_radius: float
     num_nodes: int
 
     def __post_init__(self):
@@ -340,20 +338,17 @@ def build_knn_graph(
         n = len(cloud)
 
     if dvals.size == 0:
-        return KnnGraph(k, np.empty(0, np.int64), np.empty(0, np.int64),
-                        np.empty(0), np.empty(0), float("nan"), float(max_radius),
-                        num_nodes=n)
+        return KnnGraph(np.empty(0, np.int64), np.empty(0, np.int64),
+                        np.empty(0), np.empty(0), float("nan"), num_nodes=n)
 
     # Every kept distance is positive, so their median is.
     sigma = float(np.median(dvals))
     return KnnGraph(
-        k=k,
         source=src,
         target=tgt,
         distance=dvals,
         weight=np.exp(-((dvals / sigma) ** 2)),
         sigma=sigma,
-        max_radius=float(max_radius),
         num_nodes=n,
     )
 

@@ -21,6 +21,7 @@ from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"LAM3C1"
 NORM_EPS = 1e-8
+POINT_FEATURES = 9  # the columns of point_features: xyz, rgb, normal
 
 
 @dataclass
@@ -107,21 +108,20 @@ class TeacherState:
 
 
 def init_encoder(
-    input_dim: int = 9,
     hidden: tuple[int, ...] = (64, 64),
     output_dim: int = 32,
     seed: int = 0,
 ) -> EncoderParams:
-    """He-initialized MLP parameters with a zero mask token."""
+    """He-initialized MLP over the 9 point_features columns, with a random mask token."""
     rng = make_rng(seed, 0xE)
-    dims = (input_dim, *hidden, output_dim)
+    dims = (POINT_FEATURES, *hidden, output_dim)
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
     # A zero token would put every masked row at the normalization floor,
     # where the gradient blows up by 1/|raw|; start it at a generic point.
-    mask_token = rng.normal(0.0, 0.5, size=input_dim)
+    mask_token = rng.normal(0.0, 0.5, size=POINT_FEATURES)
     return EncoderParams(weights, biases, mask_token)
 
 
@@ -136,7 +136,7 @@ def point_features(
     positions: np.ndarray, colors: np.ndarray | None, normals: np.ndarray | None
 ) -> np.ndarray:
     """The encoder's (N, 9) rows: xyz, rgb, normal, with zeros for None colors or normals."""
-    features = np.zeros((len(positions), 9))
+    features = np.zeros((len(positions), POINT_FEATURES))
     features[:, :3] = positions
     if colors is not None:
         features[:, 3:6] = colors

@@ -3,9 +3,12 @@
 Rooms are sampled as points on the floor, walls, a partial ceiling, and
 axis-aligned furniture boxes, then degraded with the defects seen in
 video-reconstructed scenes: surface noise, doubled (ghost) surfaces, punched
-holes, and uniform outliers.  The generating plane, up-axis, labels, and
-applied tilt/scale are recorded so geometric stages can be tested against
-the truth.
+holes, and uniform outliers.  A SceneSpec sets how many of each defect a
+room gets; their magnitudes are fixed: the ceiling at 0.6 of the floor's
+density, furniture box sides in [0.3, 1.2] m, 5 mm surface noise, ghosts
+0.05 m along their surface normal, holes of 0.3 m radius and outliers within
+6 m of the room's centroid.  The up-axis, labels, and applied tilt/scale are
+recorded so geometric stages can be tested against the truth.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_fields, within
-from .geometry import Plane, PointCloud
+from .geometry import PointCloud
 from .rng import make_rng
 
 LABEL_SURFACE = 0
@@ -28,28 +31,26 @@ _STREAM_SURFACES = 10
 _STREAM_DEFECTS = 11
 _STREAM_TRANSFORM = 12
 
+CEILING_COVERAGE = 0.6  # ceiling density relative to the floor
+FURNITURE_SIZE = (0.3, 1.2)  # box sides, meters
+SURFACE_NOISE = 0.005  # a standard deviation, meters
+GHOST_OFFSET = 0.05  # along the surface normal, meters
+HOLE_RADIUS = 0.3
+OUTLIER_RADIUS = 6.0
+
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Room layout, sampling density, defect magnitudes, and the seed."""
+    """Room layout, sampling density, defect counts, and the seed."""
 
     # wider than tall, so the floor dominates every wall by a wide margin
     # even after ghost duplication and downsampling
     extents: tuple[float, float, float] = within((5.0, 4.0, 2.2), "(0, inf)")
     surface_density: float = within(500.0, "(0, inf)")  # points per square meter
-    ceiling_coverage: float = within(0.6, "[0, inf)")  # ceiling density relative to the floor
     furniture_count: int = within(3, "[0, inf)")
-    furniture_size_min: float = within(0.3, "(0, inf)")  # box sides, meters
-    furniture_size_max: float = within(1.2, "(0, inf)")
-    surface_noise: float = within(0.005, "[0, inf)")  # a standard deviation
     outlier_count: int = within(0, "[0, inf)")
-    outlier_radius: float = within(6.0, "[0, inf)")
     ghost_fraction: float = within(0.0, "[0, 1]")
-    # along the surface normal: a ghost may sit on either side of its surface
-    ghost_offset: float = within(0.05, "(-inf, inf)")
     hole_count: int = within(0, "[0, inf)")
-    # compared squared, so a negative radius would punch holes of its magnitude
-    hole_radius: float = within(0.3, "[0, inf)")
     tilt_degrees: float = within(0.0, "[0, 180]")  # the angle from +Z to the true up axis
     scale: float = within(1.0, "(0, inf)")
     max_points: int = within(20000, "[1, inf)")
@@ -57,15 +58,14 @@ class SceneSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.furniture_size_min > self.furniture_size_max:
-            raise ValueError("furniture_size_min must not exceed furniture_size_max")
+        if not isinstance(self.extents, tuple) or len(self.extents) != 3:
+            raise ValueError(f"extents must be 3 numbers (x, y, z), got {self.extents!r}")
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Oracle side-channel emitted with every generated scene."""
 
-    floor_plane: Plane
     up_axis: np.ndarray
     diagonal: float
     labels: np.ndarray
@@ -98,7 +98,7 @@ def _room_surfaces(spec: SceneSpec, rng: np.random.Generator):
 
     d = spec.surface_density
     add((0, 0, 0), (ex, 0, 0), (0, ey, 0), (0, 0, 1), d, (0.5, 0.45, 0.4), True)       # floor
-    add((0, 0, ez), (ex, 0, 0), (0, ey, 0), (0, 0, -1), d * spec.ceiling_coverage,
+    add((0, 0, ez), (ex, 0, 0), (0, ey, 0), (0, 0, -1), d * CEILING_COVERAGE,
         (0.9, 0.9, 0.88), False)                                                        # ceiling
     add((0, 0, 0), (ex, 0, 0), (0, 0, ez), (0, 1, 0), d, (0.8, 0.8, 0.75), True)        # walls
     add((0, ey, 0), (ex, 0, 0), (0, 0, ez), (0, -1, 0), d, (0.8, 0.8, 0.75), True)
@@ -106,7 +106,7 @@ def _room_surfaces(spec: SceneSpec, rng: np.random.Generator):
     add((ex, 0, 0), (0, ey, 0), (0, 0, ez), (-1, 0, 0), d, (0.75, 0.78, 0.8), True)
 
     for _ in range(spec.furniture_count):
-        size = rng.uniform(spec.furniture_size_min, spec.furniture_size_max, size=3)
+        size = rng.uniform(*FURNITURE_SIZE, size=3)
         size[2] = min(size[2], ez * 0.6)
         sx, sy, sz = size
         pos = np.array([
@@ -157,14 +157,13 @@ def generate_room(spec: SceneSpec) -> tuple[PointCloud, GroundTruth]:
     positions, normals, colors, part_ids, ghostable = _room_surfaces(spec, surf_rng)
     labels = np.full(len(positions), LABEL_SURFACE, dtype=np.int64)
 
-    if spec.surface_noise > 0.0:
-        positions = positions + defect_rng.normal(0.0, spec.surface_noise, positions.shape)
+    positions = positions + defect_rng.normal(0.0, SURFACE_NOISE, positions.shape)
 
     if spec.ghost_fraction > 0.0:
         candidates = np.flatnonzero(ghostable)
         n_ghost = int(round(spec.ghost_fraction * len(candidates)))
         chosen = defect_rng.choice(candidates, size=n_ghost, replace=False)
-        positions = np.concatenate([positions, positions[chosen] + spec.ghost_offset * normals[chosen]])
+        positions = np.concatenate([positions, positions[chosen] + GHOST_OFFSET * normals[chosen]])
         normals = np.concatenate([normals, normals[chosen]])
         colors = np.concatenate([colors, colors[chosen]])
         part_ids = np.concatenate([part_ids, part_ids[chosen]])
@@ -172,16 +171,18 @@ def generate_room(spec: SceneSpec) -> tuple[PointCloud, GroundTruth]:
 
     for _ in range(spec.hole_count):
         center = positions[defect_rng.integers(len(positions))]
-        keep = ((positions - center) ** 2).sum(axis=1) > spec.hole_radius**2
+        keep = ((positions - center) ** 2).sum(axis=1) > HOLE_RADIUS**2
         positions, normals, colors, part_ids, labels = (
             positions[keep], normals[keep], colors[keep], part_ids[keep], labels[keep]
         )
+        if not len(positions):
+            raise ValueError(f"hole_count {spec.hole_count}: the holes remove every point of the room")
 
     if spec.outlier_count > 0:
         center = positions.mean(axis=0)
         direction = defect_rng.normal(size=(spec.outlier_count, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radius = spec.outlier_radius * defect_rng.random(spec.outlier_count) ** (1.0 / 3.0)
+        radius = OUTLIER_RADIUS * defect_rng.random(spec.outlier_count) ** (1.0 / 3.0)
         positions = np.concatenate([positions, center + direction * radius[:, None]])
         out_nrm = defect_rng.normal(size=(spec.outlier_count, 3))
         out_nrm /= np.linalg.norm(out_nrm, axis=1, keepdims=True)
@@ -198,11 +199,11 @@ def generate_room(spec: SceneSpec) -> tuple[PointCloud, GroundTruth]:
         )
 
     surface_counts = np.bincount(part_ids[(labels == LABEL_SURFACE) & (part_ids >= 0)])
+    if not surface_counts.size:
+        raise ValueError("no surface points are left under this spec; "
+                         "lower hole_count or raise max_points")
     if surface_counts.argmax() != FLOOR_PART:
-        raise ValueError(
-            "floor is not the dominant plane under this spec; "
-            "increase the floor area or lower ceiling_coverage"
-        )
+        raise ValueError("floor is not the dominant plane under this spec; increase the floor area")
 
     tilt = _tilt_rotation(spec.tilt_degrees, transform_rng)
     positions = spec.scale * positions @ tilt.T
@@ -210,18 +211,9 @@ def generate_room(spec: SceneSpec) -> tuple[PointCloud, GroundTruth]:
 
     cloud = PointCloud(positions=positions, colors=np.clip(colors, 0.0, 1.0), normals=normals)
 
-    up = tilt @ np.array([0.0, 0.0, 1.0])
-    floor_mask = (part_ids == FLOOR_PART) & (labels == LABEL_SURFACE)
-    floor_plane = Plane(
-        normal=up,
-        offset=0.0,  # the canonical floor passes through the origin
-        inlier_count=int(floor_mask.sum()),
-        inlier_ratio=float(floor_mask.mean()),
-    )
     diagonal = float(np.linalg.norm(positions.max(axis=0) - positions.min(axis=0)))
     truth = GroundTruth(
-        floor_plane=floor_plane,
-        up_axis=up,
+        up_axis=tilt @ np.array([0.0, 0.0, 1.0]),
         diagonal=diagonal,
         labels=labels,
         tilt_rotation=tilt,

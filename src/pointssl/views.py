@@ -99,7 +99,8 @@ def _crop_indices(positions: np.ndarray, fraction: float, rng: np.random.Generat
 def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
                rng: np.random.Generator) -> View:
     indices = _crop_indices(scene.positions, fraction, rng)
-    original = scene.positions[indices]
+    # np.take gathers rows several times faster than fancy indexing.
+    original = np.take(scene.positions, indices, axis=0)
 
     flip = np.ones(3)
     flip[:2] = np.where(rng.random(2) < 0.5, -1.0, 1.0)
@@ -109,10 +110,11 @@ def _make_view(scene: PointCloud, fraction: float, config: ViewConfig,
         if config.jitter_sigma > 0.0
         else 0.0
     )
-    colors = None if scene.colors is None else scene.colors[indices]
+    colors = None if scene.colors is None else np.take(scene.colors, indices, axis=0)
     if colors is not None and config.color_jitter > 0.0:
         colors = np.clip(colors + rng.normal(0.0, config.color_jitter, colors.shape), 0.0, 1.0)
-    normals = None if scene.normals is None else (scene.normals[indices] * flip) @ rotation.T
+    normals = (None if scene.normals is None
+               else (np.take(scene.normals, indices, axis=0) * flip) @ rotation.T)
     features = point_features((original * flip) @ rotation.T + jitter, colors, normals)
     return View(features, indices)
 
@@ -164,10 +166,10 @@ def noise_view(view: View, sigma: float, dropout: float, seed: int) -> View:
         raise ValueError("dropout must lie in [0, 1)")
     rng = make_rng(seed, _STREAM_NOISE)
     kept = np.flatnonzero(rng.random(len(view.features)) >= dropout)
-    features = view.features[kept]
+    features = np.take(view.features, kept, axis=0)
     if sigma > 0.0:
         features[:, :3] += rng.normal(0.0, sigma, size=(len(kept), 3))
-    return View(features, view.source_indices[kept])
+    return View(features, np.take(view.source_indices, kept))
 
 
 def make_views(scene: PointCloud, seed: int, config: ViewConfig = ViewConfig()) -> ViewSet:

@@ -7,7 +7,8 @@ schedules and the views.  Each must return a config or raise ValueError or
 TypeError, and a config it returns must run one train_step (or one
 align_scene) on a small room.  Numbers stay below 40 so an accepted size
 (a hidden width, k, the number of points kept) keeps the run small; NaN and
-infinities are left out, as JSON has neither.
+infinities are left out, as JSON has neither.  SceneSpec gets the same
+values, and a spec it accepts must generate a room or name why it cannot.
 """
 
 from dataclasses import fields
@@ -15,7 +16,7 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointssl import TrainConfig, ViewConfig, init_train_state, train_step
+from pointssl import SceneSpec, TrainConfig, ViewConfig, generate_room, init_train_state, train_step
 from pointssl.pipeline import PipelineConfig, align_scene
 
 from conftest import toy_room
@@ -46,6 +47,12 @@ TRAIN_FIELDS = {
     "views": SCALAR | up_to_five_of({f.name: VALUE for f in fields(ViewConfig)}),
 }
 PIPELINE_FIELDS = {f.name: VALUE for f in fields(PipelineConfig)}
+SCENE_FIELDS = {
+    **{f.name: VALUE for f in fields(SceneSpec)},
+    "extents": VALUE | st.lists(NUMBER, max_size=4).map(tuple),
+}
+# Sparse by default: 40 m extents at up to 40 points/m² stay below 400,000 points.
+SCENE_BASE = {"surface_density": 20.0}
 
 
 def _accepted(from_dict, data):
@@ -71,3 +78,18 @@ def test_pipeline_config_is_rejected_or_aligns(data):
     if config is not None:
         aligned, report, _ = align_scene(ROOM, config)
         assert report.error is None and aligned.normals is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=up_to_five_of(SCENE_FIELDS))
+def test_scene_spec_is_rejected_or_generates_or_names_the_cause(data):
+    spec = _accepted(lambda spec_fields: SceneSpec(**spec_fields), {**SCENE_BASE, **data})
+    if spec is None:
+        return
+    try:
+        cloud, truth = generate_room(spec)
+    except ValueError as error:
+        names = [f.name for f in fields(SceneSpec)] + ["dominant plane"]
+        assert any(name in str(error) for name in names), error
+    else:
+        assert len(cloud) == len(truth.labels) > 0

@@ -301,9 +301,8 @@ def test_laplacian_bit_identical_to_add_at(form):
         src = rng.integers(0, m, size=int(rng.integers(1, 4 * n)))
         tgt = (src + rng.integers(1, m, size=len(src))) % m
         dist = rng.uniform(0.01, 0.1, len(src))
-        graph = KnnGraph(k=4, source=src, target=tgt, distance=dist,
-                         weight=np.exp(-((dist / 0.05) ** 2)), sigma=0.05,
-                         max_radius=0.1, num_nodes=n)
+        graph = KnnGraph(source=src, target=tgt, distance=dist,
+                         weight=np.exp(-((dist / 0.05) ** 2)), sigma=0.05, num_nodes=n)
         values = rng.normal(0, 1, (n, int(rng.integers(1, 33))))
         delta = float(rng.choice([0.05, 0.5, 5.0]))
         rng.uniform(0, 1, (n, 3))  # discarded; holds later trials in place

@@ -69,7 +69,7 @@ class TestEncode:
         np.testing.assert_array_equal(out, np.tile([1.0, 0.0, 0.0], (10, 1)))
 
     def test_distinct_inputs_distinct_embeddings(self):
-        params = init_encoder(9, (16,), 8, seed=1)
+        params = init_encoder((16,), 8, seed=1)
         cloud = _featured_cloud(np.random.default_rng(1), n=5)
         out = encode(params, cloud)
         for i in range(5):
@@ -166,7 +166,7 @@ def _reference_backward(params, features, mask, grad_embeddings):
 @pytest.mark.parametrize("masked", [False, True])
 def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
     rng = np.random.default_rng(len(hidden) + 10 * masked)
-    params = init_encoder(9, hidden, 8, seed=len(hidden))
+    params = init_encoder(hidden, 8, seed=len(hidden))
     features = rng.normal(0, 2, (50, 9))
     # Unmasked: no mask, and a mask without masked rows.
     masks = [rng.random(50) < 0.3] if masked else [None, np.zeros(50, dtype=bool)]
@@ -213,10 +213,10 @@ class TestPrototypeHead:
 class TestEma:
     @staticmethod
     def _pair(seed=0):
-        params = init_encoder(9, (8,), 4, seed=seed)
+        params = init_encoder((8,), 4, seed=seed)
         head = init_prototype_head(4, 6, seed=seed)
         teacher = TeacherState(params, head)
-        student = init_encoder(9, (8,), 4, seed=seed + 100)
+        student = init_encoder((8,), 4, seed=seed + 100)
         student_head = init_prototype_head(4, 6, seed=seed + 100)
         return teacher, student, student_head
 
@@ -257,7 +257,7 @@ class TestEma:
 
     def test_shape_mismatch_rejected(self):
         teacher, _, student_head = self._pair()
-        other = init_encoder(9, (16,), 4, seed=9)
+        other = init_encoder((16,), 4, seed=9)
         with pytest.raises(ValueError, match="shapes differ"):
             ema_update(teacher, other, student_head, momentum=0.5)
 

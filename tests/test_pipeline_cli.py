@@ -356,19 +356,22 @@ class TestCliCommands:
         (["gen-scenes", "--out", "gs/nested", "--count", "4", "--extents", "1", "1", "0.5",
           "--points", "500", "--density", "100", "--seed", "0"], {},
          "floor is not the dominant plane"),
+        (["gen-scenes", "--out", "d", "--count", "1", "--seed", "0", "--extents", "0.6", "0.6",
+          "0.02", "--holes", "60", "--points", "2000"], {},
+         "hole_count 60: the holes remove every point of the room"),
         (["gen-scenes", "--out", "scenes", "--count", "1", "--points", "500"],
          {"scenes": "a file"}, "--out scenes exists and is not a directory"),
         (["align", "--input", "nosuchdir", "--output", "outdir", "--seed", "0"], {},
          "input_dir nosuchdir is not a directory"),
         (["align", "--input", "scenes", "--output", "outdir", "--seed", "0"],
          {"scenes": "a file"}, "input_dir scenes is not a directory"),
-        (["gradcheck", "--trials", "0"], {}, "trials (0) and encoder_trials (5) must be >= 1"),
+        (["gradcheck", "--trials", "0"], {}, "trials (0) must be >= 1"),
     ], ids=["csv-text", "csv-one-column", "csv-nan", "temperature-0", "iterations-0",
             "not-a-checkpoint", "ply-no-vertex", "train-config-json", "align-config-json",
             "train-config-list", "align-config-list", "align-config-null", "jobs-negative",
             "points-0", "density-negative", "outlier-fraction-negative", "count-negative",
             "holes-negative", "tilt-max-negative", "seed-negative", "floor-not-dominant",
-            "last-scene-floor-not-dominant", "out-is-a-file", "input-missing",
+            "last-scene-floor-not-dominant", "holes-remove-every-point", "out-is-a-file", "input-missing",
             "input-is-a-file", "trials-0"])
     def test_malformed_input_exits_1_with_its_message(
         self, tmp_path, monkeypatch, caplog, capsys, argv, files, message
@@ -471,6 +474,8 @@ class TestCliCommands:
         ("views", {"jitter_sigma": 1e300}),
         ("views", {"noise_sigma": 1e300}),
         ("views", {"noise_sigma": 2.0}),
+        ("correspondence_cutoff", 1.5),
+        ("laplacian_max_radius", 1.5),
     ])
     def test_train_toy_rejects_malformed_config(self, tmp_path, caplog, name, value):
         scenes = tmp_path / "scenes"

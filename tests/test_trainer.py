@@ -232,6 +232,16 @@ class TestTrainStep:
                 train_step(state, toy_scenes[:1])
 
 
+    def test_empty_batch_is_named_and_changes_nothing(self):
+        state = init_train_state(_toy_config())
+        student = state.student.copy()
+        with pytest.raises(ValueError, match="train_step got an empty batch"):
+            train_step(state, [])
+        with pytest.raises(ValueError, match="step_objective got an empty batch"):
+            step_objective(state, [], 0)
+        assert state.step == 0
+        np.testing.assert_array_equal(state.student, student)
+
     def test_train_step_is_objective_then_update(self, toy_scenes):
         config = _toy_config(total_steps=3)
         stepped, split = init_train_state(config), init_train_state(config)
