@@ -10,7 +10,8 @@ Library surface:
   and consistency_loss over plain arrays, all with analytic gradients;
   match_correspondences pairs the points of two views of one scene through
   the scene's neighbor lists, as an (M, 2) array of index rows.
-- model: point-wise MLP encoder, prototype head, EMA teacher, checkpoints.
+- model: Network, the point-wise MLP encoder and its prototype head in one
+  vector, serving as student, EMA teacher and gradient; checkpoints.
 - views: the two global and the local crops of a scene as arrays of encoder
   features (View), grid masking over positions, and noisy views (noise_view).
 - trainer: schedules and the full training loop.
@@ -36,17 +37,7 @@ from .geometry import (
     sor_filter,
 )
 from .losses import clustering_ce, consistency_loss, laplacian_loss, match_correspondences
-from .model import (
-    EncoderParams,
-    PrototypeHead,
-    TeacherState,
-    ema_update,
-    encode,
-    init_encoder,
-    init_prototype_head,
-    load_model,
-    save_model,
-)
+from .model import Network, ema_update, encode, init_network, load_model, save_model
 from .ply import read_ply, write_ply
 from .scenes import GroundTruth, SceneSpec, generate_room
 from .sinkhorn import sinkhorn_normalize, softmax_rows
@@ -67,18 +58,16 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateGeometryError",
     "EmptyCloudError",
-    "EncoderParams",
     "GeometryError",
     "GroundTruth",
     "KnnGraph",
     "MetricsRecord",
+    "Network",
     "Plane",
     "PointCloud",
-    "PrototypeHead",
     "RigidSimilarity",
     "SceneSpec",
     "Schedule",
-    "TeacherState",
     "TrainConfig",
     "TrainState",
     "View",
@@ -95,8 +84,7 @@ __all__ = [
     "estimate_normals",
     "generate_room",
     "grid_mask",
-    "init_encoder",
-    "init_prototype_head",
+    "init_network",
     "init_train_state",
     "laplacian_loss",
     "load_model",

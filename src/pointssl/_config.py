@@ -11,6 +11,9 @@ _TYPE_CHECKS = {  # bool is an Integral but not a count or a measure
 }
 _TYPE_CHECKS["int | None"] = lambda value: value is None or _TYPE_CHECKS["int"](value)
 _TYPE_CHECKS["tuple[int, ...]"] = lambda value: all(map(_TYPE_CHECKS["int"], value))
+# A non-tuple passes here; the dataclass rejects all but a tuple of 3 with a ValueError.
+_TYPE_CHECKS["tuple[float, float, float]"] = lambda value: (
+    not isinstance(value, tuple) or all(map(_TYPE_CHECKS["float"], value)))
 
 
 def within(default, interval: str):

@@ -224,9 +224,9 @@ def _cmd_export_pca(args) -> int:
     from .pipeline import export_pca
     from .ply import read_ply
 
-    params, _, _ = load_model(args.checkpoint)
+    student, _ = load_model(args.checkpoint)
     cloud, _ = read_ply(args.scene)
-    export_pca(encode(params, cloud), cloud, args.out)
+    export_pca(encode(student, cloud), cloud, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import PointCloud, build_knn_graph
 from .losses import clustering_ce, consistency_loss, laplacian_loss
-from .model import encode_backward, encode_features, flat_views, init_encoder
+from .model import encode_backward, encode_features, init_network
 from .rng import make_rng
 from .scenes import SceneSpec, generate_room
 from .sinkhorn import softmax_rows
@@ -130,7 +130,7 @@ def _worst_tensor_error(tensors: dict, analytic: dict, value) -> float:
 
 
 def _check_encoder(rng: np.random.Generator) -> float:
-    params = init_encoder((8, 8), 6, seed=int(rng.integers(0, 2**31)))
+    params = init_network((8, 8), 6, num_prototypes=2, seed=int(rng.integers(0, 2**31)))
     n = int(rng.integers(3, 9))
     features = rng.normal(0, 1, (n, 9))
     mask = rng.random(n) < 0.3
@@ -145,14 +145,14 @@ def _check_encoder(rng: np.random.Generator) -> float:
 
 
 def _check_step(rng: np.random.Generator) -> float:
-    """d total / d(student, head) through step_objective on two 256-point rooms."""
+    """d total / d student through step_objective on two 256-point rooms."""
     config = TrainConfig(
         batch_size=2, num_prototypes=4, embed_dim=6, hidden=(8,),
         laplacian_schedule=0.5, consistency_weight=0.7, seed=int(rng.integers(0, 2**31)),
     )
     state = init_train_state(config)
     # The teacher starts as a copy of the student; move the student off it.
-    tensors = {**state.params.tensors(), "head.projection": state.head.projection}
+    tensors = state.student.tensors()
     for tensor in tensors.values():
         tensor += rng.normal(0.0, 0.1, tensor.shape)
     scene_views = []
@@ -163,9 +163,9 @@ def _check_step(rng: np.random.Generator) -> float:
         ))
         scene_views.append(make_views(scene, int(rng.integers(0, 2**31)), config.views))
 
-    _, grads, head = flat_views(state.params, state.head, step_objective(state, scene_views, 0)[2])
+    grads = state.student.like(step_objective(state, scene_views, 0)[2])
     return _worst_tensor_error(
-        tensors, {**grads.tensors(), "head.projection": head.projection},
+        tensors, grads.tensors(),
         lambda: step_objective(state, scene_views, 0)[1],
     )
 

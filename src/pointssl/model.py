@@ -1,8 +1,10 @@
-"""Desk-scale point-wise encoder, prototype head, and EMA teacher.
+"""Desk-scale point-wise encoder and prototype head, as one Network type.
 
 The encoder is a per-point MLP over 9-D features (xyz + rgb + normal) with a
 sigmoid-gated (SiLU) nonlinearity and L2-normalized output embeddings, so
-prototype logits are cosine similarities.  Forward and backward passes are
+prototype logits are cosine similarities.  A Network holds the encoder and
+its prototype head as views of one float64 vector, and serves as the
+student, the EMA teacher and each gradient.  Forward and backward passes are
 written out explicitly; gradients are verified against finite differences in
 the test suite.
 """
@@ -24,95 +26,75 @@ NORM_EPS = 1e-8
 POINT_FEATURES = 9  # the columns of point_features: xyz, rgb, normal
 
 
-@dataclass
-class EncoderParams:
-    """Weights, biases, and the learned mask token of the point-wise MLP."""
+class Network:
+    """The encoder's weights, biases and mask token and the head's projection,
+    as views of one float64 vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    mask_token: np.ndarray
-    # The vector the tensors view, when flat_views made them.
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat holds every bias, the mask token, every weight matrix, then the
+    projection onto the K prototype columns, whose shapes are shapes in that
+    order; the weight-decayed tensors, the weights and the projection, are
+    its tail from decayed on.  The student, the EMA teacher, each gradient
+    and Adam's moments share one layout; like(flat) views another vector of
+    it.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]):
+        self.flat, self.shapes = flat, shapes
+        views, end = [], 0
+        for shape in shapes:
+            views.append(flat[end:end + math.prod(shape)].reshape(shape))
+            end += math.prod(shape)
+        if end != flat.size:
+            raise ValueError(f"a layout of {end} values cannot view a vector of {flat.size}")
+        n = len(shapes) // 2 - 1
+        self.biases, self.mask_token = views[:n], views[n]
+        self.weights, self.projection = views[n + 1:-1], views[-1]
+        self.decayed = sum(b.size for b in self.biases) + self.mask_token.size
+
+    @classmethod
+    def of(cls, weights, biases, mask_token, projection) -> Network:
+        """A network of float64 copies of the given tensors."""
+        tensors = [*biases, mask_token, *weights, projection]
+        return cls(np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64),
+                   tuple(np.shape(t) for t in tensors))
+
+    def like(self, flat: np.ndarray) -> Network:
+        """A network of this layout whose tensors view flat."""
+        return Network(flat, self.shapes)
 
     def tensors(self) -> dict[str, np.ndarray]:
+        """By checkpoint name: each layer's weight and bias, the mask token, the projection."""
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out[f"layer{i}.weight"] = w
             out[f"layer{i}.bias"] = b
         out["mask_token"] = self.mask_token
+        out["head.projection"] = self.projection
         return out
 
     def check_finite(self) -> None:
         """Raise ValueError naming the first tensor with a NaN or infinity."""
-        for name, t in self.tensors().items():
-            if not np.isfinite(t).all():
-                raise ValueError(f"non-finite encoder parameter {name!r}")
-
-
-@dataclass
-class PrototypeHead:
-    """Linear projection onto K unit-norm prototype columns."""
-
-    projection: np.ndarray
+        if not np.isfinite(self.flat).all():
+            name = next(name for name, t in self.tensors().items() if not np.isfinite(t).all())
+            raise ValueError(f"non-finite network parameter {name!r}")
 
     def normalize_columns(self) -> None:
+        """Scale each prototype column to unit norm, in place."""
         norms = np.linalg.norm(self.projection, axis=0, keepdims=True)
         self.projection /= np.maximum(norms, NORM_EPS)
 
 
-def _flat_order(params: EncoderParams, head: PrototypeHead | None) -> list[np.ndarray]:
-    return [*params.biases, params.mask_token, *params.weights, *([head.projection] if head else [])]
-
-
-def decayed_start(params: EncoderParams) -> int:
-    """Where a flat_views vector's weight-decayed tail, the weights and projection, starts."""
-    return sum(b.size for b in params.biases) + params.mask_token.size
-
-
-def flat_views(
-    params: EncoderParams, head: PrototypeHead | None = None, flat: np.ndarray | None = None
-) -> tuple[np.ndarray, EncoderParams, PrototypeHead | None]:
-    """(flat, params, head) as one vector and tensors that view slices of it.
-
-    The vector holds every bias, the mask token, every weight matrix, then the
-    head's projection, so the weight-decayed tensors are one tail; the encoder's
-    part is the returned params' flat.  With no flat given, the vector is a
-    float64 copy of params and head.
-    """
-    tensors = _flat_order(params, head)
-    if flat is None:
-        flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
-    views, end = [], 0
-    for t in tensors:
-        views.append(flat[end:end + t.size].reshape(t.shape))
-        end += t.size
-    n = len(params.weights)
-    encoder = flat[:end - head.projection.size] if head else flat[:end]
-    return (flat, EncoderParams(views[n + 1:2 * n + 1], views[:n], views[n], encoder),
-            PrototypeHead(views[-1]) if head else None)
-
-
-@dataclass
-class TeacherState:
-    """EMA mirror of the student: params and head copied into one vector, flat, and viewed."""
-
-    params: EncoderParams
-    head: PrototypeHead
-    momentum: float = 0.996
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must lie in [0, 1]")
-        self.flat, self.params, self.head = flat_views(self.params, self.head)
-
-
-def init_encoder(
+def init_network(
     hidden: tuple[int, ...] = (64, 64),
     output_dim: int = 32,
+    num_prototypes: int = 64,
     seed: int = 0,
-) -> EncoderParams:
-    """He-initialized MLP over the 9 point_features columns, with a random mask token."""
+) -> Network:
+    """He-initialized MLP over the 9 point_features columns, with a random mask
+    token, and num_prototypes unit-norm prototype columns.
+
+    The encoder draws from stream (seed, 0xE), the head from (seed, 0xF).
+    """
     rng = make_rng(seed, 0xE)
     dims = (POINT_FEATURES, *hidden, output_dim)
     weights, biases = [], []
@@ -122,14 +104,10 @@ def init_encoder(
     # A zero token would put every masked row at the normalization floor,
     # where the gradient blows up by 1/|raw|; start it at a generic point.
     mask_token = rng.normal(0.0, 0.5, size=POINT_FEATURES)
-    return EncoderParams(weights, biases, mask_token)
-
-
-def init_prototype_head(embed_dim: int = 32, num_prototypes: int = 64, seed: int = 0) -> PrototypeHead:
-    rng = make_rng(seed, 0xF)
-    head = PrototypeHead(rng.normal(0.0, 1.0, size=(embed_dim, num_prototypes)))
-    head.normalize_columns()
-    return head
+    projection = make_rng(seed, 0xF).normal(0.0, 1.0, size=(output_dim, num_prototypes))
+    network = Network.of(weights, biases, mask_token, projection)
+    network.normalize_columns()
+    return network
 
 
 def point_features(
@@ -164,14 +142,14 @@ class EncodeCache:
 
 
 def encode_features(
-    params: EncoderParams, features: np.ndarray, mask: np.ndarray | None = None
+    params: Network, features: np.ndarray, mask: np.ndarray | None = None
 ) -> EncodeCache:
     """Forward pass over raw feature rows, keeping the backward cache.
 
     Masked rows (mask=True) have their features replaced by the learned mask
     token before the first layer.  Output rows are L2-normalized; rows whose
     raw norm falls below 1e-8 emit the first basis vector instead.  Callers
-    check the parameters first, once per batch (EncoderParams.check_finite).
+    check the parameters first, once per batch (Network.check_finite).
     """
     f = np.asarray(features, dtype=np.float64)
     if mask is not None:
@@ -205,7 +183,7 @@ def encode_features(
     return EncodeCache(f, preacts, sigs, safe, floored, z, mask)
 
 
-def encode(params: EncoderParams, cloud: PointCloud) -> np.ndarray:
+def encode(params: Network, cloud: PointCloud) -> np.ndarray:
     """(N, D) embeddings of a cloud; deterministic, unit-norm rows.
 
     Missing colors or normals are zero-filled with a warning.
@@ -218,10 +196,11 @@ def encode(params: EncoderParams, cloud: PointCloud) -> np.ndarray:
     return encode_features(params, features).embeddings
 
 
-def encode_backward(
-    params: EncoderParams, cache: EncodeCache, grad_embeddings: np.ndarray
-) -> EncoderParams:
-    """Backpropagate d(loss)/d(embeddings) to all encoder parameters."""
+def encode_backward(params: Network, cache: EncodeCache, grad_embeddings: np.ndarray) -> Network:
+    """Backpropagate d(loss)/d(embeddings) to the encoder's parameters.
+
+    Returns a gradient of params' layout whose projection slot is 0.
+    """
     z, safe = cache.embeddings, cache.safe_norms
     g = np.asarray(grad_embeddings, dtype=np.float64)
     # Through row normalization: (g - z (z . g)) / |raw|; floored rows are constant.
@@ -231,8 +210,7 @@ def encode_backward(
     g_raw /= safe[:, None]
     g_raw[cache.floored] = 0.0
 
-    size = sum(t.size for t in params.tensors().values())
-    _, grads, _ = flat_views(params, flat=np.zeros(size))
+    grads = params.like(np.zeros_like(params.flat))
     upstream = g_raw
     last = len(params.weights) - 1
     # The gradient of the layer-0 input is needed only for the mask token.
@@ -259,29 +237,24 @@ def encode_backward(
 
 
 def prototype_logits_backward(
-    head: PrototypeHead, embedding_values: np.ndarray, grad_logits: np.ndarray
+    network: Network, embedding_values: np.ndarray, grad_logits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (grad wrt embeddings, grad wrt projection)."""
-    return grad_logits @ head.projection.T, embedding_values.T @ grad_logits
+    """Returns (grad wrt embeddings, grad wrt the network's projection)."""
+    return grad_logits @ network.projection.T, embedding_values.T @ grad_logits
 
 
-def ema_update(
-    teacher: TeacherState,
-    student_params: EncoderParams,
-    student_head: PrototypeHead,
-    momentum: float,
-) -> TeacherState:
+def ema_update(teacher: Network, student: Network, momentum: float) -> Network:
     """A new teacher, momentum * teacher + (1 - momentum) * student; teacher is not changed.
 
     Prototype columns are re-normalized after the update.
     """
-    student = _flat_order(student_params, student_head)
-    if [t.shape for t in student] != [t.shape for t in _flat_order(teacher.params, teacher.head)]:
+    if not 0.0 <= momentum <= 1.0:
+        raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
+    if teacher.shapes != student.shapes:
         raise ValueError("teacher and student parameter shapes differ")
-    new = TeacherState(teacher.params, teacher.head, momentum)
-    new.flat *= momentum
-    new.flat += (1.0 - momentum) * np.concatenate([t.ravel() for t in student])
-    new.head.normalize_columns()
+    new = teacher.like(teacher.flat * momentum)
+    new.flat += (1.0 - momentum) * student.flat
+    new.normalize_columns()
     return new
 
 
@@ -341,7 +314,7 @@ def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     return tensors[name].astype(np.float64)
 
 
-def _params_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> EncoderParams:
+def _network_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> Network:
     weights, biases = [], []
     i = 0
     while f"{prefix}layer{i}.weight" in tensors:
@@ -350,34 +323,25 @@ def _params_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> Encoder
         i += 1
     if not weights:
         raise ValueError(f"checkpoint has no encoder layers under prefix {prefix!r}")
-    return EncoderParams(weights, biases, _tensor(tensors, f"{prefix}mask_token"))
+    return Network.of(weights, biases, _tensor(tensors, f"{prefix}mask_token"),
+                      _tensor(tensors, f"{prefix}head.projection"))
 
 
-def save_model(
-    path,
-    params: EncoderParams,
-    head: PrototypeHead,
-    teacher: TeacherState | None = None,
-) -> None:
-    tensors = {f"student.{k}": v for k, v in params.tensors().items()}
-    tensors["student.head.projection"] = head.projection
+def save_model(path, student: Network, teacher: Network | None = None) -> None:
+    """The student's tensors as student.*, and the teacher's as teacher.* when given."""
+    tensors = {f"student.{k}": v for k, v in student.tensors().items()}
     if teacher is not None:
-        tensors.update({f"teacher.{k}": v for k, v in teacher.params.tensors().items()})
-        tensors["teacher.head.projection"] = teacher.head.projection
-        tensors["teacher.momentum"] = np.array(teacher.momentum)
+        tensors.update({f"teacher.{k}": v for k, v in teacher.tensors().items()})
     save_checkpoint(path, tensors)
 
 
-def load_model(path) -> tuple[EncoderParams, PrototypeHead, TeacherState | None]:
+def load_model(path) -> tuple[Network, Network | None]:
+    """(student, teacher) of a save_model file; teacher is None when it holds none.
+
+    A teacher.momentum entry, which older files carry, is not read.
+    """
     tensors = load_checkpoint(path)
-    params = _params_from_tensors(tensors, "student.")
-    head = PrototypeHead(_tensor(tensors, "student.head.projection"))
-    teacher = None
-    if "teacher.head.projection" in tensors:
-        momentum = np.asarray(tensors.get("teacher.momentum", 0.996)).reshape(-1)
-        teacher = TeacherState(
-            _params_from_tensors(tensors, "teacher."),
-            PrototypeHead(_tensor(tensors, "teacher.head.projection")),
-            float(momentum[0]),
-        )
-    return params, head, teacher
+    student = _network_from_tensors(tensors, "student.")
+    if "teacher.head.projection" not in tensors:
+        return student, None
+    return student, _network_from_tensors(tensors, "teacher.")

@@ -41,16 +41,11 @@ from .losses import (
     match_correspondences,
 )
 from .model import (
-    EncoderParams,
-    PrototypeHead,
-    TeacherState,
-    decayed_start,
+    Network,
     encode_backward,
     encode_features,
     ema_update,
-    init_encoder,
-    flat_views,
-    init_prototype_head,
+    init_network,
     point_features,  # not called; perfbench/ traces the layer under this name
     prototype_logits_backward,
     save_model,
@@ -220,33 +215,27 @@ class MetricsRecord:
 
 @dataclass
 class TrainState:
-    """A run's config and step, and four float64 vectors of one layout.
+    """A run's config and step, the student and its EMA teacher, and Adam's moments.
 
-    student (the encoder, then the head), teacher.flat, and Adam's adam_m and
-    adam_v each hold every encoder bias, the mask token, every weight matrix,
-    then the head's projection (model.flat_views).  The constructor copies
-    params and head into student and keeps its views; the moments start at 0.
+    student.flat, teacher.flat, adam_m and adam_v are four float64 vectors of
+    one layout (model.Network); the moments start at 0.
     """
 
     config: TrainConfig
-    params: EncoderParams
-    head: PrototypeHead
-    teacher: TeacherState
+    student: Network
+    teacher: Network
     step: int = 0
-    student: np.ndarray = field(init=False, repr=False)
     adam_m: np.ndarray = field(init=False, repr=False)
     adam_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.student, self.params, self.head = flat_views(self.params, self.head)
-        self.adam_m, self.adam_v = np.zeros_like(self.student), np.zeros_like(self.student)
+        self.adam_m = np.zeros_like(self.student.flat)
+        self.adam_v = np.zeros_like(self.student.flat)
 
 
 def init_train_state(config: TrainConfig) -> TrainState:
-    params = init_encoder(config.hidden, config.embed_dim, seed=config.seed)
-    head = init_prototype_head(config.embed_dim, config.num_prototypes, seed=config.seed)
-    teacher = TeacherState(params, head, momentum=config.ema_momentum.start)
-    return TrainState(config=config, params=params, head=head, teacher=teacher)
+    student = init_network(config.hidden, config.embed_dim, config.num_prototypes, seed=config.seed)
+    return TrainState(config, student, teacher=student.like(student.flat.copy()))
 
 
 def prototype_usage_entropy(rows: np.ndarray) -> float:
@@ -280,7 +269,7 @@ def step_objective(
 
     Each term is averaged over the scenes; total weights them by the config's
     clustering weights, the Laplacian schedule at step and consistency_weight.
-    Returns (terms, total, grads, q_all): grads is d total / d state.student,
+    Returns (terms, total, grads, q_all): grads is d total / d state.student.flat,
     a vector of its layout, q_all the pooled Sinkhorn teacher assignments.
     """
     if not scene_views:
@@ -319,8 +308,7 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
     del pooled
     q_scenes = np.split(q_all, ends[:-1])
 
-    grads = np.zeros_like(state.student)
-    head = state.params.flat.size  # where the head's slice starts
+    grads = np.zeros_like(state.student.flat)
     terms = {"unmask": 0.0, "mask": 0.0, "roll": 0.0, "laplacian": 0.0, "consistency": 0.0}
     scale = 1.0 / len(scene_views)
     per_scene = _threads.thread_map(
@@ -331,10 +319,8 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
     for scene_terms, contributions in per_scene:
         for key, value in scene_terms.items():
             terms[key] += value
-        for head_grad, encoder_grads in contributions:
-            if head_grad is not None:
-                grads[head:] += scale * head_grad.ravel()
-            grads[:head] += scale * encoder_grads.flat
+        for contribution in contributions:
+            grads += scale * contribution.flat
 
     for key in terms:
         terms[key] *= scale
@@ -348,24 +334,22 @@ def _objective(state: TrainState, scene_views: list[ViewSet], step: int, workers
     return terms, total, grads, q_all
 
 
-def _teacher_logits(teacher: TeacherState, views: ViewSet) -> list[np.ndarray]:
+def _teacher_logits(teacher: Network, views: ViewSet) -> list[np.ndarray]:
     return [
-        encode_features(teacher.params, view.features).embeddings
-        @ teacher.head.projection
+        encode_features(teacher, view.features).embeddings @ teacher.projection
         for view in views.global_views
     ]
 
 
 def _scene_objective(
     state: TrainState, step: int, lam: float, i: int, views: ViewSet, q: np.ndarray,
-) -> tuple[dict[str, float], list[tuple[np.ndarray | None, EncoderParams]]]:
+) -> tuple[dict[str, float], list[Network]]:
     """Scene i's share of the objective, unscaled; q holds its g0 then its g1 assignments.
 
-    Returns the terms it contributes and its (head, encoder) gradients in the
-    order they are accumulated; the head entry is None where only the encoder
-    receives a gradient.  The local views and the Laplacian run in helpers so
-    their encoder caches are freed before the next pass: a pool runs several
-    scenes at once.
+    Returns the terms it contributes and its gradients, each of the student's
+    layout, in the order they are accumulated.  The local views and the
+    Laplacian run in helpers so their encoder caches are freed before the
+    next pass: a pool runs several scenes at once.
     """
     config = state.config
     tau_s = config.student_temperature
@@ -376,8 +360,8 @@ def _scene_objective(
     mask = views.mask
     q0, q1 = q[:len(g0.features)], q[len(g0.features):]
 
-    cache_g0 = encode_features(state.params, g0.features, mask)
-    logits_g0 = cache_g0.embeddings @ state.head.projection
+    cache_g0 = encode_features(state.student, g0.features, mask)
+    logits_g0 = cache_g0.embeddings @ state.student.projection
     grad_logits_g0 = np.zeros_like(logits_g0)
 
     # Mask loss: distill the teacher's assignments on the masked points.
@@ -411,7 +395,7 @@ def _scene_objective(
             g1, config.views.noise_sigma, config.views.noise_dropout,
             _derive_seed(config, step, i, 1),
         )
-        teacher_emb = encode_features(state.teacher.params, xa.features).embeddings
+        teacher_emb = encode_features(state.teacher, xa.features).embeddings
         pairs_cons = match_correspondences(
             views.scene, g0.source_indices, xa.source_indices, config.correspondence_cutoff
         )
@@ -421,26 +405,27 @@ def _scene_objective(
             grad_emb_g0 = mu * grad
 
     # Backpropagate the masked-global-view gradients.
-    g_emb, g_proj = prototype_logits_backward(state.head, cache_g0.embeddings, grad_logits_g0)
+    g_emb, g_proj = prototype_logits_backward(state.student, cache_g0.embeddings, grad_logits_g0)
     if grad_emb_g0 is not None:
         g_emb = g_emb + grad_emb_g0
-    contributions.append((g_proj, encode_backward(state.params, cache_g0, g_emb)))
+    grads = encode_backward(state.student, cache_g0, g_emb)
+    grads.projection[...] = g_proj
+    contributions.append(grads)
 
     if laplacian_grads is not None:
-        contributions.append((None, laplacian_grads))
+        contributions.append(laplacian_grads)
     return terms, contributions
 
 
 def _unmask_objective(
     state: TrainState, views: ViewSet, q: np.ndarray
-) -> tuple[float | None, list[tuple[np.ndarray, EncoderParams]]]:
+) -> tuple[float | None, list[Network]]:
     """Unmask loss: the local views against the scene's teacher assignments q.
 
     The local views run through the student as one stack of rows, matched
     against g0's rows then g1's, so a local point whose scene point lies in
     both global views is distilled from q0.  Returns the unweighted term
-    (None when no local point matched) and the (head, encoder) gradients of
-    the weighted term.
+    (None when no local point matched) and the weighted term's gradients.
     """
     config = state.config
     if not views.local_views:
@@ -456,20 +441,22 @@ def _unmask_objective(
         return None, []
     students, teachers = pairs.T
     stacked = np.concatenate([view.features for view in views.local_views])
-    cache = encode_features(state.params, stacked)
+    cache = encode_features(state.student, stacked)
     matched = cache.embeddings[students]
-    value, grad = clustering_ce(q[teachers], matched @ state.head.projection,
+    value, grad = clustering_ce(q[teachers], matched @ state.student.projection,
                                 config.student_temperature)
     grad *= config.unmask_weight
-    g_matched, g_proj = prototype_logits_backward(state.head, matched, grad)
+    g_matched, g_proj = prototype_logits_backward(state.student, matched, grad)
     g_emb = np.zeros_like(cache.embeddings)
     g_emb[students] = g_matched
-    return value, [(g_proj, encode_backward(state.params, cache, g_emb))]
+    grads = encode_backward(state.student, cache, g_emb)
+    grads.projection[...] = g_proj
+    return value, [grads]
 
 
 def _laplacian_objective(
     state: TrainState, views: ViewSet, lam: float
-) -> tuple[float | None, EncoderParams | None]:
+) -> tuple[float | None, Network | None]:
     """Laplacian smoothing on the student's unmasked global view.
 
     The graph is over g1's points in the scene frame: each point's nearest
@@ -484,7 +471,7 @@ def _laplacian_objective(
         return None, None
     config = state.config
     g1 = views.global_views[1]
-    cache_g1 = encode_features(state.params, g1.features)
+    cache_g1 = encode_features(state.student, g1.features)
     graph = build_knn_graph(views.scene, config.laplacian_knn, config.laplacian_max_radius,
                             among=g1.source_indices)
     if not graph.num_edges:
@@ -492,7 +479,7 @@ def _laplacian_objective(
     value, grad = laplacian_loss(
         cache_g1.embeddings, graph, config.laplacian_form, config.huber_delta
     )
-    return value, encode_backward(state.params, cache_g1, lam * grad)
+    return value, encode_backward(state.student, cache_g1, lam * grad)
 
 
 def apply_update(state: TrainState, grads: np.ndarray) -> None:
@@ -510,13 +497,13 @@ def apply_update(state: TrainState, grads: np.ndarray) -> None:
     state.adam_v += (1.0 - beta2) * grads * grads
     update = (state.adam_m / bias1) / (np.sqrt(state.adam_v / bias2) + eps)
     # Decoupled weight decay on the weight matrices and the projection only.
-    decayed = decayed_start(state.params)
-    update[decayed:] += wd * state.student[decayed:]
-    state.student -= lr * update
-    state.head.normalize_columns()
+    decayed = state.student.decayed
+    update[decayed:] += wd * state.student.flat[decayed:]
+    state.student.flat -= lr * update
+    state.student.normalize_columns()
 
     momentum = config.ema_momentum.value_at(state.step)
-    state.teacher = ema_update(state.teacher, state.params, state.head, momentum)
+    state.teacher = ema_update(state.teacher, state.student, momentum)
     state.step += 1
 
 
@@ -534,8 +521,8 @@ def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState,
     t_start = time.perf_counter()
     config = state.config
     step = state.step
-    state.params.check_finite()
-    state.teacher.params.check_finite()
+    state.student.check_finite()
+    state.teacher.check_finite()
     big = sum(map(len, scenes)) >= PARALLEL_MIN_SCENE_POINTS * len(scenes)
     workers = _threads.usable_cpus() if big else 1
     scene_views = _threads.thread_map(
@@ -560,10 +547,9 @@ def train_step(state: TrainState, scenes: list[PointCloud]) -> tuple[TrainState,
 
 
 def _grad_norm(state: TrainState, grads: np.ndarray) -> float:
-    """The norm of a gradient vector, summed per tensor: the head, then tensors() order."""
-    _, params, head = flat_views(state.params, state.head, grads)
-    tensors = [head.projection, *params.tensors().values()]
-    return float(np.sqrt(sum(float((t**2).sum()) for t in tensors)))
+    """The norm of a gradient vector, summed per tensor: the projection, then tensors() order."""
+    *encoder, projection = state.student.like(grads).tensors().values()
+    return float(np.sqrt(sum(float((t**2).sum()) for t in [projection, *encoder])))
 
 
 def _batch_for_step(scenes: list[PointCloud], config: TrainConfig, step: int) -> list[PointCloud]:
@@ -610,7 +596,7 @@ def run_training(
             if metrics_stream is not None:
                 metrics_stream.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         if out_dir is not None:
-            save_model(Path(out_dir) / "model.ckpt", state.params, state.head, state.teacher)
+            save_model(Path(out_dir) / "model.ckpt", state.student, state.teacher)
     finally:
         if metrics_stream is not None:
             metrics_stream.close()

@@ -279,8 +279,8 @@ def test_criterion_7_regularizer_effect(training_runs):
             energies.append(value)
         return np.array(energies)
 
-    full = scene_energies(training_runs["state_a"].params)
-    bare = scene_energies(training_runs["state_b"].params)
+    full = scene_energies(training_runs["state_a"].student)
+    bare = scene_energies(training_runs["state_b"].student)
     assert full.mean() < bare.mean(), (
         f"regularized training did not lower Laplacian energy: "
         f"{full.mean():.5f} vs {bare.mean():.5f}"
@@ -325,15 +325,14 @@ def test_criterion_9_io_roundtrips(tmp_path):
         assert first.read_bytes() == second.read_bytes(), f"scene {i} not byte-stable"
 
     # checkpoint save/load reproduces embeddings bit-for-bit
-    from pointssl import init_encoder, init_prototype_head
+    from pointssl import init_network
 
-    params = init_encoder(seed=9)
-    head = init_prototype_head(seed=9)
+    params = init_network(seed=9)
     scene = toy_room(seed=600)
-    save_model(tmp_path / "m1.ckpt", params, head)
-    p1, h1, _ = load_model(tmp_path / "m1.ckpt")
-    save_model(tmp_path / "m2.ckpt", p1, h1)
-    p2, _, _ = load_model(tmp_path / "m2.ckpt")
+    save_model(tmp_path / "m1.ckpt", params)
+    p1, _ = load_model(tmp_path / "m1.ckpt")
+    save_model(tmp_path / "m2.ckpt", p1)
+    p2, _ = load_model(tmp_path / "m2.ckpt")
     assert (tmp_path / "m1.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
     np.testing.assert_array_equal(encode(p1, scene), encode(p2, scene))
     _report(9, "20 PLY round trips byte-identical; checkpoint embeddings bitwise")

@@ -49,7 +49,7 @@ TRAIN_FIELDS = {
 PIPELINE_FIELDS = {f.name: VALUE for f in fields(PipelineConfig)}
 SCENE_FIELDS = {
     **{f.name: VALUE for f in fields(SceneSpec)},
-    "extents": VALUE | st.lists(NUMBER, max_size=4).map(tuple),
+    "extents": VALUE | st.lists(NUMBER | st.booleans(), max_size=4).map(tuple),
 }
 # Sparse by default: 40 m extents at up to 40 points/m² stay below 400,000 points.
 SCENE_BASE = {"surface_density": 20.0}

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointssl import (
-    EncoderParams,
+    Network,
     PointCloud,
-    PrototypeHead,
     ema_update,
     encode,
-    init_encoder,
-    init_prototype_head,
+    init_network,
     load_model,
     save_model,
 )
 from pointssl.gradcheck import _check_encoder, finite_difference, relative_error
 from pointssl.model import (
-    TeacherState,
     encode_backward,
     encode_features,
     load_checkpoint,
@@ -59,17 +56,18 @@ def _featured_cloud(rng, n=32):
 
 class TestEncode:
     def test_zero_parameters_give_constant_basis_vector(self):
-        params = EncoderParams(
+        params = Network.of(
             weights=[np.zeros((9, 4)), np.zeros((4, 3))],
             biases=[np.zeros(4), np.zeros(3)],
             mask_token=np.zeros(9),
+            projection=np.zeros((3, 2)),
         )
         cloud = _featured_cloud(np.random.default_rng(0), n=10)
         out = encode(params, cloud)
         np.testing.assert_array_equal(out, np.tile([1.0, 0.0, 0.0], (10, 1)))
 
     def test_distinct_inputs_distinct_embeddings(self):
-        params = init_encoder((16,), 8, seed=1)
+        params = init_network((16,), 8, seed=1)
         cloud = _featured_cloud(np.random.default_rng(1), n=5)
         out = encode(params, cloud)
         for i in range(5):
@@ -77,13 +75,13 @@ class TestEncode:
                 assert not np.allclose(out[i], out[j])
 
     def test_unit_norm_rows(self):
-        params = init_encoder(seed=2)
+        params = init_network(seed=2)
         cloud = _featured_cloud(np.random.default_rng(2), n=50)
         out = encode(params, cloud)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_permutation_equivariance(self):
-        params = init_encoder(seed=3)
+        params = init_network(seed=3)
         rng = np.random.default_rng(3)
         cloud = _featured_cloud(rng, n=40)
         perm = rng.permutation(40)
@@ -97,21 +95,21 @@ class TestEncode:
         np.testing.assert_array_equal(a[perm], b)
 
     def test_missing_features_warn(self):
-        params = init_encoder(seed=4)
+        params = init_network(seed=4)
         cloud = PointCloud(positions=np.random.default_rng(4).uniform(0, 1, (12, 3)))
         with pytest.warns(UserWarning, match="substituting zeros"):
             out = encode(params, cloud)
         assert out.shape == (12, 32)
 
     def test_nan_parameters_rejected(self):
-        params = init_encoder(seed=5)
+        params = init_network(seed=5)
         params.weights[0][0, 0] = np.nan
         cloud = _featured_cloud(np.random.default_rng(5), n=4)
         with pytest.raises(ValueError, match="non-finite"):
             encode(params, cloud)
 
     def test_mask_token_substitution(self):
-        params = init_encoder(seed=6)
+        params = init_network(seed=6)
         rng = np.random.default_rng(6)
         features = rng.normal(0, 1, (8, 9))
         mask = np.zeros(8, bool)
@@ -166,7 +164,7 @@ def _reference_backward(params, features, mask, grad_embeddings):
 @pytest.mark.parametrize("masked", [False, True])
 def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
     rng = np.random.default_rng(len(hidden) + 10 * masked)
-    params = init_encoder(hidden, 8, seed=len(hidden))
+    params = init_network(hidden, 8, seed=len(hidden))
     features = rng.normal(0, 2, (50, 9))
     # Unmasked: no mask, and a mask without masked rows.
     masks = [rng.random(50) < 0.3] if masked else [None, np.zeros(50, dtype=bool)]
@@ -187,7 +185,7 @@ def test_encode_backward_bit_identical_to_recomputed_silu(hidden, masked):
 class TestPrototypeHead:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        head = init_prototype_head(embed_dim=6, num_prototypes=9, seed=2)
+        head = init_network(output_dim=6, num_prototypes=9, seed=2)
         emb = rng.normal(0, 1, (7, 6))
         downstream = rng.normal(0, 1, (7, 9))
         g_emb, g_proj = prototype_logits_backward(head, emb, downstream)
@@ -201,7 +199,7 @@ class TestPrototypeHead:
 
     def test_columns_stay_unit_norm(self):
         rng = np.random.default_rng(3)
-        head = init_prototype_head(embed_dim=8, num_prototypes=12, seed=3)
+        head = init_network(output_dim=8, num_prototypes=12, seed=3)
         for _ in range(20):
             head.projection += rng.normal(0, 0.5, head.projection.shape)
             head.normalize_columns()
@@ -213,60 +211,57 @@ class TestPrototypeHead:
 class TestEma:
     @staticmethod
     def _pair(seed=0):
-        params = init_encoder((8,), 4, seed=seed)
-        head = init_prototype_head(4, 6, seed=seed)
-        teacher = TeacherState(params, head)
-        student = init_encoder((8,), 4, seed=seed + 100)
-        student_head = init_prototype_head(4, 6, seed=seed + 100)
-        return teacher, student, student_head
+        teacher = init_network((8,), 4, 6, seed=seed)
+        student = init_network((8,), 4, 6, seed=seed + 100)
+        return teacher, student
 
     def test_momentum_one_keeps_teacher(self):
-        teacher, student, student_head = self._pair()
-        updated = ema_update(teacher, student, student_head, momentum=1.0)
-        for a, b in zip(updated.params.weights, teacher.params.weights):
+        teacher, student = self._pair()
+        updated = ema_update(teacher, student, momentum=1.0)
+        for a, b in zip(updated.weights, teacher.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_momentum_zero_copies_student(self):
-        teacher, student, student_head = self._pair()
-        updated = ema_update(teacher, student, student_head, momentum=0.0)
-        for a, b in zip(updated.params.weights, student.weights):
+        teacher, student = self._pair()
+        updated = ema_update(teacher, student, momentum=0.0)
+        for a, b in zip(updated.weights, student.weights):
             np.testing.assert_array_equal(a, b)
         # head only equal up to column re-normalization
-        expected = student_head.projection / np.linalg.norm(
-            student_head.projection, axis=0, keepdims=True
+        expected = student.projection / np.linalg.norm(
+            student.projection, axis=0, keepdims=True
         )
-        np.testing.assert_allclose(updated.head.projection, expected, atol=1e-12)
+        np.testing.assert_allclose(updated.projection, expected, atol=1e-12)
 
     def test_midpoint(self):
-        teacher, student, student_head = self._pair()
-        for w in teacher.params.weights:
+        teacher, student = self._pair()
+        for w in teacher.weights:
             w[...] = 0.0
         for w in student.weights:
             w[...] = 2.0
-        updated = ema_update(teacher, student, student_head, momentum=0.5)
-        np.testing.assert_array_equal(updated.params.weights[0], 1.0)
+        updated = ema_update(teacher, student, momentum=0.5)
+        np.testing.assert_array_equal(updated.weights[0], 1.0)
 
     def test_contraction_on_encoder_tensors(self):
-        teacher, student, student_head = self._pair(seed=5)
+        teacher, student = self._pair(seed=5)
         m = 0.7
-        updated = ema_update(teacher, student, student_head, momentum=m)
+        updated = ema_update(teacher, student, momentum=m)
         for t_new, t_old, s in zip(
-            updated.params.weights, teacher.params.weights, student.weights
+            updated.weights, teacher.weights, student.weights
         ):
             np.testing.assert_allclose(t_new - s, m * (t_old - s), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        teacher, _, student_head = self._pair()
-        other = init_encoder((16,), 4, seed=9)
+        teacher, _ = self._pair()
+        other = init_network((16,), 4, seed=9)
         with pytest.raises(ValueError, match="shapes differ"):
-            ema_update(teacher, other, student_head, momentum=0.5)
+            ema_update(teacher, other, momentum=0.5)
 
     def test_momentum_range(self):
-        teacher, student, student_head = self._pair()
+        teacher, student = self._pair()
         with pytest.raises(ValueError):
-            ema_update(teacher, student, student_head, momentum=1.5)
+            ema_update(teacher, student, momentum=1.5)
         with pytest.raises(ValueError):
-            TeacherState(teacher.params, teacher.head, momentum=-0.1)
+            ema_update(teacher, student, momentum=-0.1)
 
 
 class TestCheckpoint:
@@ -360,18 +355,16 @@ class TestCheckpoint:
             assert all(v.dtype == np.float32 for v in loaded.values())
 
     def test_model_roundtrip_reproduces_embeddings_bitwise(self, tmp_path):
-        params = init_encoder(seed=11)
-        head = init_prototype_head(seed=11)
-        teacher = TeacherState(params, head)
+        params = init_network(seed=11)
         first = tmp_path / "m1.ckpt"
         second = tmp_path / "m2.ckpt"
-        save_model(first, params, head, teacher)
-        p1, h1, t1 = load_model(first)
-        save_model(second, p1, h1, t1)
+        save_model(first, params, params)
+        p1, t1 = load_model(first)
+        save_model(second, p1, t1)
         assert first.read_bytes() == second.read_bytes()
 
         cloud = _featured_cloud(np.random.default_rng(12), n=64)
-        p2, h2, _ = load_model(second)
+        p2, _ = load_model(second)
         np.testing.assert_array_equal(encode(p1, cloud), encode(p2, cloud))
         # float32 storage stays close to the original float64 model
         np.testing.assert_allclose(
@@ -385,12 +378,61 @@ class TestCheckpoint:
         "teacher.mask_token",
     ])
     def test_model_missing_a_tensor_names_it(self, tmp_path, missing):
-        params = init_encoder(hidden=(8, 8), output_dim=4, seed=3)
-        head = init_prototype_head(4, 5, seed=3)
+        params = init_network(hidden=(8, 8), output_dim=4, num_prototypes=5, seed=3)
         path = tmp_path / "full.ckpt"
-        save_model(path, params, head, TeacherState(params, head))
+        save_model(path, params, params)
         tensors = load_checkpoint(path)
         del tensors[missing]
         save_checkpoint(path, tensors)
         with pytest.raises(ValueError, match=f"checkpoint has no tensor '{missing}'"):
             load_model(path)
+
+    @pytest.mark.parametrize("momentum", [np.zeros(0), np.array(5.0)], ids=["empty", "5.0"])
+    def test_model_ignores_an_older_files_teacher_momentum(self, tmp_path, momentum):
+        # Files written before the teacher lost its stored momentum carry a
+        # teacher.momentum entry; whatever it holds, the networks load.
+        network = init_network(hidden=(8,), output_dim=4, num_prototypes=5, seed=4)
+        path = tmp_path / "new.ckpt"
+        save_model(path, network, network)
+        tensors = load_checkpoint(path)
+        assert "teacher.momentum" not in tensors
+        tensors["teacher.momentum"] = momentum
+        save_checkpoint(tmp_path / "old.ckpt", tensors)
+        student, teacher = load_model(tmp_path / "old.ckpt")
+        saved, _ = load_model(path)
+        cloud = _featured_cloud(np.random.default_rng(13), n=16)
+        np.testing.assert_array_equal(encode(student, cloud), encode(saved, cloud))
+        np.testing.assert_array_equal(teacher.flat, saved.flat)
+
+
+class TestNetwork:
+    def test_tensors_view_flat_in_layout_order(self):
+        network = init_network(hidden=(5,), output_dim=3, num_prototypes=4, seed=1)
+        order = [*network.biases, network.mask_token, *network.weights, network.projection]
+        np.testing.assert_array_equal(network.flat, np.concatenate([t.ravel() for t in order]))
+        assert all(np.shares_memory(t, network.flat) for t in order)
+        assert network.decayed == 5 + 3 + 9
+        assert set(network.tensors()) == {"layer0.weight", "layer0.bias", "layer1.weight",
+                                          "layer1.bias", "mask_token", "head.projection"}
+
+    def test_like_views_another_vector_of_the_layout(self):
+        network = init_network(hidden=(5,), output_dim=3, num_prototypes=4, seed=1)
+        other = network.like(np.arange(network.flat.size, dtype=np.float64))
+        assert other.shapes == network.shapes and other.decayed == network.decayed
+        assert other.biases[0][0] == 0.0 and other.projection[-1, -1] == network.flat.size - 1
+        with pytest.raises(ValueError, match="cannot view a vector"):
+            network.like(np.zeros(network.flat.size + 1))
+
+    def test_encoder_gradient_leaves_the_projection_slot_zero(self):
+        network = init_network(hidden=(5,), output_dim=3, num_prototypes=4, seed=2)
+        rng = np.random.default_rng(2)
+        cache = encode_features(network, rng.normal(0, 1, (6, 9)), rng.random(6) < 0.5)
+        grads = encode_backward(network, cache, rng.normal(0, 1, (6, 3)))
+        assert grads.shapes == network.shapes
+        assert not grads.projection.any() and grads.weights[0].any()
+
+    def test_nan_projection_is_named(self):
+        network = init_network(seed=3)
+        network.projection[1, 2] = np.inf
+        with pytest.raises(ValueError, match="'head.projection'"):
+            network.check_finite()

@@ -104,10 +104,10 @@ def _reference_objective(state, scene_views, step):
     tau_s = config.student_temperature
     lam = config.laplacian_schedule.value_at(step)
     cutoff = config.correspondence_cutoff
-    head, teacher_head = state.head.projection, state.teacher.head.projection
+    head, teacher_head = state.student.projection, state.teacher.projection
 
     teacher_logits = [
-        _embed(state.teacher.params, view.features) @ teacher_head
+        _embed(state.teacher, view.features) @ teacher_head
         for views in scene_views for view in views.global_views
     ]
     q = _sinkhorn(np.concatenate(teacher_logits), tau_t, config.sinkhorn_iterations)
@@ -117,7 +117,7 @@ def _reference_objective(state, scene_views, step):
     for i, views in enumerate(scene_views):
         g0, g1 = views.global_views
         q0, q1 = q[starts[2 * i]:starts[2 * i + 1]], q[starts[2 * i + 1]:starts[2 * i + 2]]
-        z0 = _embed(state.params, g0.features, views.mask)
+        z0 = _embed(state.student, g0.features, views.mask)
         logits0 = z0 @ head
 
         masked = np.flatnonzero(views.mask)
@@ -134,7 +134,7 @@ def _reference_objective(state, scene_views, step):
 
         q_targets, student_logits = [], []
         for local in views.local_views:
-            local_logits = _embed(state.params, local.features) @ head
+            local_logits = _embed(state.student, local.features) @ head
             for s, t in _match(
                 positions[np.concatenate([g0.source_indices, g1.source_indices])],
                 positions[local.source_indices],
@@ -151,13 +151,13 @@ def _reference_objective(state, scene_views, step):
                                     config.laplacian_knn, config.laplacian_max_radius)
             if graph.num_edges:
                 terms["laplacian"] += _huber_residual_loss(
-                    _embed(state.params, g1.features), graph, config.huber_delta
+                    _embed(state.student, g1.features), graph, config.huber_delta
                 )
 
         if config.consistency_weight > 0.0:
             noisy = noise_view(g1, config.views.noise_sigma, config.views.noise_dropout,
                                _derive_seed(config, step, i, 1))
-            z_noisy = _embed(state.teacher.params, noisy.features)
+            z_noisy = _embed(state.teacher, noisy.features)
             pairs = _match(positions[noisy.source_indices], positions[g0.source_indices],
                            noisy.source_indices, g0.source_indices, cutoff)
             if pairs:

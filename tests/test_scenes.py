@@ -84,11 +84,14 @@ def test_floor_dominance_enforced():
     ("seed", -1, "seed must lie in [0, inf)"),
     ("extents", (1.0, 2.0), "extents must be 3 numbers"),
     ("extents", 5.0, "extents must be 3 numbers"),
+    ("extents", (True, 1.0, 0.5), "extents must be tuple[float, float, float], got (True"),
 ])
 def test_spec_rejects_numbers_out_of_range(name, value, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises((TypeError, ValueError)) as info:
         SceneSpec(**{name: value})
     assert message in str(info.value)
+    # A number of another type is a TypeError, one out of its range a ValueError.
+    assert info.type is (TypeError if "must be tuple" in message else ValueError)
 
 
 # sha256 over positions, colors, normals and labels, recorded before the

@@ -184,16 +184,16 @@ class TestTrainStep:
             total_steps=3, ema_momentum={"kind": "constant", "start": 1.0, "end": 1.0}
         )
         state = init_train_state(config)
-        before = [w.copy() for w in state.teacher.params.weights]
-        student_before = [w.copy() for w in state.params.weights]
+        before = [w.copy() for w in state.teacher.weights]
+        student_before = [w.copy() for w in state.student.weights]
         for _ in range(3):
             state, _ = train_step(state, toy_scenes[:2])
-        for a, b in zip(state.teacher.params.weights, before):
+        for a, b in zip(state.teacher.weights, before):
             np.testing.assert_array_equal(a, b)
         # while the student moved
         assert any(
             not np.array_equal(a, b)
-            for a, b in zip(state.params.weights, student_before)
+            for a, b in zip(state.student.weights, student_before)
         )
 
     def test_loss_decreases_on_repeated_scene(self, toy_scenes):
@@ -225,8 +225,8 @@ class TestTrainStep:
         state = init_train_state(config)
         # embedding normalization absorbs any single-layer blowup; two huge
         # layers overflow float64 into inf/nan before the normalization
-        state.params.weights[0][...] = 1e200
-        state.params.weights[1][...] = 1e200
+        state.student.weights[0][...] = 1e200
+        state.student.weights[1][...] = 1e200
         with pytest.raises((FloatingPointError, ValueError)):
             with np.errstate(all="ignore"):
                 train_step(state, toy_scenes[:1])
@@ -234,13 +234,13 @@ class TestTrainStep:
 
     def test_empty_batch_is_named_and_changes_nothing(self):
         state = init_train_state(_toy_config())
-        student = state.student.copy()
+        student = state.student.flat.copy()
         with pytest.raises(ValueError, match="train_step got an empty batch"):
             train_step(state, [])
         with pytest.raises(ValueError, match="step_objective got an empty batch"):
             step_objective(state, [], 0)
         assert state.step == 0
-        np.testing.assert_array_equal(state.student, student)
+        np.testing.assert_array_equal(state.student.flat, student)
 
     def test_train_step_is_objective_then_update(self, toy_scenes):
         config = _toy_config(total_steps=3)
@@ -256,9 +256,9 @@ class TestTrainStep:
             assert (record.total, record.grad_norm) == (total, trainer._grad_norm(split, grads))
             assert {name: getattr(record, name) for name in terms} == terms
         assert split.step == stepped.step == 2
-        for a, b in zip(split.params.tensors().values(), stepped.params.tensors().values()):
+        for a, b in zip(split.student.tensors().values(), stepped.student.tensors().values()):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(split.teacher.head.projection, stepped.teacher.head.projection)
+        np.testing.assert_array_equal(split.teacher.projection, stepped.teacher.projection)
 
 
 def test_a_step_wraps_only_the_pooled_teacher_logits(toy_scenes, monkeypatch):
@@ -319,10 +319,12 @@ class TestFlatState:
     def test_weight_decay_lands_on_weight_matrices_only(self):
         config = _toy_config(weight_decay=0.3, ema_momentum=1.0)
         state = init_train_state(config)
-        before = {name: t.copy() for name, t in state.params.tensors().items()}
-        apply_update(state, np.zeros_like(state.student))
+        tensors = state.student.tensors()
+        tensors.pop("head.projection")  # decayed too, then re-normalized
+        before = {name: t.copy() for name, t in tensors.items()}
+        apply_update(state, np.zeros_like(state.student.flat))
         lr = config.lr_at(0)
-        for name, t in state.params.tensors().items():
+        for name, t in tensors.items():
             want = before[name] - lr * (0.3 * before[name]) if name.endswith("weight") else before[name]
             np.testing.assert_array_equal(t, want, err_msg=name)
 
@@ -333,13 +335,13 @@ class TestFlatState:
             if updated:
                 views = [make_views(toy_scenes[0], _derive_seed(config, 0, 0, 0), config.views)]
                 apply_update(state, step_objective(state, views, 0)[2])
-            for t in [*state.params.tensors().values(), state.head.projection]:
-                assert np.shares_memory(t, state.student)
+            for t in state.student.tensors().values():
+                assert np.shares_memory(t, state.student.flat)
             teacher = state.teacher
-            for t in [*teacher.params.tensors().values(), teacher.head.projection]:
+            for t in teacher.tensors().values():
                 assert np.shares_memory(t, teacher.flat)
-        state.params.weights[0][...] = 7.0
-        assert np.count_nonzero(state.student == 7.0) == state.params.weights[0].size
+        state.student.weights[0][...] = 7.0
+        assert np.count_nonzero(state.student.flat == 7.0) == state.student.weights[0].size
 
 
 class TestSceneThreads:
@@ -361,10 +363,8 @@ class TestSceneThreads:
         (threaded_records, a), (inline_records, b) = runs
         assert threaded_records == inline_records
         tensors = [
-            (a.params.tensors(), b.params.tensors()),
-            (a.teacher.params.tensors(), b.teacher.params.tensors()),
-            ({"head": a.head.projection}, {"head": b.head.projection}),
-            ({"teacher.head": a.teacher.head.projection}, {"teacher.head": b.teacher.head.projection}),
+            (a.student.tensors(), b.student.tensors()),
+            (a.teacher.tensors(), b.teacher.tensors()),
             ({"adam_m": a.adam_m, "adam_v": a.adam_v}, {"adam_m": b.adam_m, "adam_v": b.adam_v}),
         ]
         for got, want in tensors:
