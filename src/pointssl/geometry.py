@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -266,34 +267,31 @@ def _neighborhoods(points: np.ndarray, k: int, neighbors: np.ndarray | None) -> 
 _ROW_BLOCK = 1024
 
 
-def _bounded_knn(tree: cKDTree, k: int, bound: float) -> np.ndarray:
-    """Per point, a row of min(k + 1, n) indices: its k nearest other points
-    closer than bound, and in any other slot a point at distance 0 from it
-    (itself or a coincident duplicate).  Slots with no point hold n = tree.n.
-    """
-    points, n = tree.data, tree.n
-    dist, nbr = tree.query(points, k=min(k + 1, n), distance_upper_bound=bound)
-    if k + 1 >= n:
-        return nbr
-    # A zero distance in the second slot is a duplicate.  When every slot is
-    # filled, duplicates may have crowded out some of the k nearest other
-    # points.  Coincident points share their neighbors, so one point of each
-    # group is queried again with room for all its duplicates, and the last k
-    # slots of that query fill the rows of the whole group.
-    crowded = np.flatnonzero((dist[:, 1] == 0.0) & (nbr[:, -1] < n))
-    if crowded.size == 0:
-        return nbr
-    # Each group's slot count comes from the tree, so a group split by its
-    # coordinates' bits (0.0 against -0.0) is still right, only queried twice.
-    _, first, group = np.unique(points[crowded], axis=0, return_index=True, return_inverse=True)
-    reps = crowded[first]
-    slots = np.minimum(k + tree.query_ball_point(points[reps], r=0.0, return_length=True), n)
-    others = np.empty((len(reps), k), nbr.dtype)
-    for m in np.unique(slots):
-        sel = np.flatnonzero(slots == m)
-        others[sel] = tree.query(points[reps[sel]], k=m, distance_upper_bound=bound)[1][:, -k:]
-    nbr[crowded, 1:] = others[group.reshape(-1)]
-    return nbr
+def _knn_lists(points: np.ndarray, k: int, max_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, in neighbors_within's (starts, neighbors) layout: its k
+    nearest other distinct points within about max_radius, in the order of
+    one tree query over the distinct points, each as at most k of its copies,
+    lowest index first.  The bound is inflated; the caller filters exactly."""
+    # + 0.0 turns -0.0 into 0.0, so coordinates differing only in a zero's
+    # sign are one distinct point.
+    sites, site_of, counts = np.unique(points + 0.0, axis=0, return_inverse=True,
+                                       return_counts=True)
+    site_of = site_of.reshape(-1)
+    # The tree keeps only distances strictly below its bound; the inflated
+    # bound still returns every neighbor the exact filter keeps.  A site's
+    # nearest site is itself, so the query starts at the second.
+    _, near = cKDTree(sites).query(sites, k=np.arange(2, k + 2),
+                                   distance_upper_bound=max_radius * (1.0 + 1e-9))
+    near = near[site_of]
+    owner, slot = np.nonzero(near < len(sites))
+    # Each site's first k copies: no point needs more of one site for its k places.
+    rank = np.arange(len(points)) - np.repeat(np.cumsum(counts) - counts, counts)
+    copies = (np.concatenate([[0], np.cumsum(np.minimum(counts, k))]),
+              np.argsort(site_of, kind="stable")[rank < k])
+    entry, neighbors = gather_lists(copies, near[owner, slot])
+    starts = np.zeros(len(points) + 1, np.intp)
+    np.cumsum(np.bincount(owner[entry], minlength=len(points)), out=starts[1:])
+    return starts, neighbors
 
 
 def build_knn_graph(
@@ -304,86 +302,35 @@ def build_knn_graph(
 ) -> KnnGraph:
     """Build the exact k-nearest-neighbor graph with Gaussian edge weights.
 
-    Each point contributes up to k outgoing edges to its nearest neighbors by
-    Euclidean distance; edges longer than max_radius are removed.  Coincident
-    duplicates of a point get no edge and take none of its k places.  The
-    weight scale sigma is the median of the retained neighbor distances.
-
-    Without among, the graph is over every point of the cloud, found by a
-    bounded tree query; among neighbors exactly equidistant at the k-th place,
-    the tree's traversal decides which are kept, not their order in the cloud.
-
-    With among, an index array of distinct points of the cloud, node i is the
-    point among[i] and its neighbors are the other points among holds.  They
-    come from cloud.neighbors_within(max_radius), so no tree is built and the
-    lists are kept with the cloud for the next call; a node's edges are in
-    (distance, index) order, and at a tie at the k-th place the lower cloud
-    index wins.  Otherwise the graph is build_knn_graph(cloud.select(among),
-    k, max_radius).
+    Node i's edges go to the first k of its candidates at a positive distance
+    of at most max_radius, so coincident duplicates get no edge and take none
+    of its k places; the weight scale sigma is the median edge distance.
+    Only the candidates' source differs.  With among, an index array of
+    distinct points of the cloud, node i is the point among[i] and its
+    candidates are the other points among holds, in (distance, index) order
+    from cloud.neighbors_within(max_radius), which the cloud keeps for the
+    next call.  Without it, node i is point i and its candidates come from
+    one tree query over the cloud's distinct points (_knn_lists): there the
+    tree breaks a tie among distinct points at the k-th place, and the
+    copies of a point are taken lowest index first.
 
     Raises:
+        TypeError: k is not an integer.
         EmptyCloudError: fewer than 2 points (or ids in among).
         DegenerateGeometryError: all points coincide (sigma would be 0).
         ValueError: among repeats an id or names one outside the cloud.
     """
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
-    if among is not None:
-        src, tgt, dvals = _edges_among(cloud, k, max_radius, among)
-        n = len(among)
-    else:
-        src, tgt, dvals = _edges_by_tree(cloud.positions, k, max_radius)
-        n = len(cloud)
-
-    if dvals.size == 0:
-        return KnnGraph(np.empty(0, np.int64), np.empty(0, np.int64),
-                        np.empty(0), np.empty(0), float("nan"), num_nodes=n)
-
-    # Every kept distance is positive, so their median is.
-    sigma = float(np.median(dvals))
-    return KnnGraph(
-        source=src,
-        target=tgt,
-        distance=dvals,
-        weight=np.exp(-((dvals / sigma) ** 2)),
-        sigma=sigma,
-        num_nodes=n,
-    )
-
-
-def _edges_by_tree(
-    pts: np.ndarray, k: int, max_radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """build_knn_graph's (source, target, distance) over every point, from a tree."""
-    n = len(pts)
-    if n < 2:
-        raise EmptyCloudError("kNN graph needs at least 2 points")
-    tree = cKDTree(pts)
-    if tree.query_ball_point(pts[0], r=0.0, return_length=True) == n:
-        raise DegenerateGeometryError("all points coincide; sigma would be 0")
-    # The tree keeps only distances strictly below its bound; the inflated
-    # bound still returns every neighbor the exact filter below keeps.
-    nbr = _bounded_knn(tree, k, max_radius * (1.0 + 1e-9))
-    rows, slots = np.nonzero(nbr < n)
-    cols = nbr[rows, slots]
-    dvals = _exact_distances(pts[rows], pts[cols])
-    # Each row holds at most k points at a positive distance, so dropping
-    # zero-distance entries leaves at most k outgoing edges per point.
-    keep = (rows != cols) & (dvals > 0.0) & (dvals <= max_radius)
-    return rows[keep], cols[keep], dvals[keep]
-
-
-def _edges_among(
-    cloud: PointCloud, k: int, max_radius: float, among
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """build_knn_graph's (source, target, distance) over the points among
-    names, from the cloud's neighbor lists; nodes are positions in among."""
-    among = np.asarray(among)
-    n, m = len(cloud), len(among)
-    if among.ndim != 1 or (m and not np.issubdtype(among.dtype, np.integer)):
+    pts, n, whole = cloud.positions, len(cloud), among is None
+    among = np.arange(n) if whole else np.asarray(among)
+    if among.ndim != 1 or (among.size and not np.issubdtype(among.dtype, np.integer)):
         raise ValueError(f"among must be a 1-D integer array, got {among.dtype} {among.shape}")
+    m = len(among)
     if m and (among.min() < 0 or among.max() >= n):
         raise ValueError(f"among names points outside the cloud of {n}")
     if m < 2:
@@ -393,23 +340,33 @@ def _edges_among(
     if (node[among] != np.arange(m)).any():
         raise ValueError("among repeats a point")
 
-    rows, points = gather_lists(cloud.neighbors_within(max_radius), among)
+    lists = _knn_lists(pts, k, max_radius) if whole else cloud.neighbors_within(max_radius)
+    rows, points = gather_lists(lists, among)
     keep = node[points] >= 0
     rows, points = rows[keep], points[keep]
     # np.take gathers rows several times faster than fancy indexing.
-    pts = cloud.positions
     dvals = _exact_distances(np.take(pts, among[rows], axis=0), np.take(pts, points, axis=0))
-    keep = dvals > 0.0
+    keep = (dvals > 0.0) & (dvals <= max_radius)
     if not keep.any() and (np.take(pts, among, axis=0) == pts[among[0]]).all():
         raise DegenerateGeometryError("all points coincide; sigma would be 0")
     # Coincident duplicates take none of the k places, so they go before the
-    # rows are cut; each row's first k then are its k nearest in-view points.
+    # rows are cut; each row's first k then are its k nearest candidates.
     rows, points, dvals = rows[keep], points[keep], dvals[keep]
     per_row = np.bincount(rows, minlength=m)
     if per_row.max() > k:
         keep = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows] < k
         rows, points, dvals = rows[keep], points[keep], dvals[keep]
-    return rows, node[points], dvals
+
+    # Every kept distance is positive, so their median is.
+    sigma = float(np.median(dvals)) if dvals.size else float("nan")
+    return KnnGraph(
+        source=rows,
+        target=node[points],
+        distance=dvals,
+        weight=np.exp(-((dvals / sigma) ** 2)),
+        sigma=sigma,
+        num_nodes=m,
+    )
 
 
 def mean_knn_distances(points: np.ndarray, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
@@ -494,13 +451,6 @@ def _fit_plane_svd(points: np.ndarray) -> tuple[np.ndarray, float]:
     _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
     normal = vt[-1]
     return normal, float(normal @ centroid)
-
-
-def _canonical_sign(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]:
-    dominant = int(np.argmax(np.abs(normal)))
-    if normal[dominant] < 0:
-        return -normal, -offset
-    return normal, offset
 
 
 def _inlier_counts(
@@ -591,7 +541,8 @@ def detect_dominant_plane(
 
     inliers = np.abs(pts @ normals[best_iter] - offsets[best_iter]) <= inlier_threshold
     normal, offset = _fit_plane_svd(pts[inliers])
-    normal, offset = _canonical_sign(normal, offset)
+    if normal[np.argmax(np.abs(normal))] < 0:  # the dominant component is positive
+        normal, offset = -normal, -offset
 
     count = int((np.abs(pts @ normal - offset) <= inlier_threshold).sum())
     ratio = count / n

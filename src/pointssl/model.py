@@ -53,10 +53,25 @@ class Network:
 
     @classmethod
     def of(cls, weights, biases, mask_token, projection) -> Network:
-        """A network of float64 copies of the given tensors."""
+        """A network of float64 copies of the given tensors.
+
+        Raises ValueError naming the first tensor, in tensors() order, that
+        does not chain: layer i's weight takes the previous width (layer0's,
+        the 9 point_features columns) and its bias has its own, the mask
+        token has 9 values and the projection takes the last width.
+        """
         tensors = [*biases, mask_token, *weights, projection]
-        return cls(np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64),
-                   tuple(np.shape(t) for t in tensors))
+        network = cls(np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64),
+                      tuple(np.shape(t) for t in tensors))
+        width = POINT_FEATURES
+        for name, t in network.tensors().items():
+            cols = t.shape[-1] if t.ndim else -1
+            need = ((POINT_FEATURES,) if name == "mask_token"
+                    else (width,) if name.endswith("bias") else (width, cols))
+            if t.shape != need:
+                raise ValueError(f"{name} has shape {t.shape}, where the layout needs {need}")
+            width = cols if name.endswith("weight") else width
+        return network
 
     def like(self, flat: np.ndarray) -> Network:
         """A network of this layout whose tensors view flat."""
@@ -323,8 +338,11 @@ def _network_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> Networ
         i += 1
     if not weights:
         raise ValueError(f"checkpoint has no encoder layers under prefix {prefix!r}")
-    return Network.of(weights, biases, _tensor(tensors, f"{prefix}mask_token"),
-                      _tensor(tensors, f"{prefix}head.projection"))
+    try:
+        return Network.of(weights, biases, _tensor(tensors, f"{prefix}mask_token"),
+                          _tensor(tensors, f"{prefix}head.projection"))
+    except ValueError as exc:  # a layout error, which begins with the tensor's name
+        raise ValueError(f"checkpoint tensor {prefix}{exc}") from None
 
 
 def save_model(path, student: Network, teacher: Network | None = None) -> None:
@@ -338,10 +356,18 @@ def save_model(path, student: Network, teacher: Network | None = None) -> None:
 def load_model(path) -> tuple[Network, Network | None]:
     """(student, teacher) of a save_model file; teacher is None when it holds none.
 
-    A teacher.momentum entry, which older files carry, is not read.
+    Each network's tensors must chain (Network.of), and the teacher's layout
+    must be the student's; a ValueError names the first tensor that breaks
+    either.  A teacher.momentum entry, which older files carry, is not read.
     """
     tensors = load_checkpoint(path)
     student = _network_from_tensors(tensors, "student.")
     if "teacher.head.projection" not in tensors:
         return student, None
-    return student, _network_from_tensors(tensors, "teacher.")
+    teacher = _network_from_tensors(tensors, "teacher.")
+    if teacher.shapes != student.shapes:
+        ours, theirs = student.tensors(), teacher.tensors()  # np.shape(None) is ()
+        name = next(n for n in {**ours, **theirs} if np.shape(ours.get(n)) != np.shape(theirs.get(n)))
+        raise ValueError(f"checkpoint tensor teacher.{name} does not match student.{name}: "
+                         "the teacher's layout must be the student's")
+    return student, teacher

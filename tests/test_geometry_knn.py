@@ -237,6 +237,73 @@ def test_large_duplicate_cluster_matches_oracle_without_quadratic_memory():
     assert (out_degree == k).all()
 
 
+def test_two_large_coincident_clusters_without_quadratic_memory():
+    # Two clusters of 3,000 copies 0.17 m apart beside 200 points at least
+    # 1 m away: each copy's 16 nearest other points are copies of the other
+    # cluster, the first 16 by index, and no copy needs more of them.
+    rng = np.random.default_rng(19)
+    a, b = np.zeros(3), np.array([0.17, 0.0, 0.0])
+    points = np.concatenate([np.tile(a, (3000, 1)), np.tile(b, (3000, 1)),
+                             rng.uniform(1, 2, (200, 3))])
+    points = points[rng.permutation(len(points))]
+    n, k = len(points), 16
+    graph = None
+
+    def build():
+        nonlocal graph
+        graph = build_knn_graph(make_cloud(points), k=k, max_radius=10.0)
+
+    assert peak_traced_bytes(build) < n * n * 8 / 4
+    separation = np.sqrt(np.sum((b - a) ** 2))
+    for here, there in ((a, b), (b, a)):
+        copies = np.flatnonzero((points == here).all(axis=1))
+        assert (np.bincount(graph.source, minlength=n)[copies] == k).all()
+        edges = np.isin(graph.source, copies)
+        assert (graph.distance[edges] == separation).all()
+        lowest = np.flatnonzero((points == there).all(axis=1))[:k]
+        assert (graph.target[edges].reshape(-1, k) == lowest).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.sampled_from([1, 2, 24]),
+       st.integers(1, 4))
+def test_whole_cloud_distances_equal_brute_force_on_a_lattice_with_duplicates(
+    seed, n, k, spacing
+):
+    # As TestAmong's lattice test, over every point of the cloud: ties at the
+    # k-th place fall to the tree, so only each source's distances are compared.
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(0, 4, (n, 3)) / 16.0
+    points = np.concatenate([sites, sites[rng.integers(0, n, n // 3)]])
+    radius = float(np.sqrt(spacing / 256.0))
+    if (points == points[0]).all():
+        with pytest.raises(DegenerateGeometryError):
+            build_knn_graph(make_cloud(points), k, radius)
+        return
+    graph = build_knn_graph(make_cloud(points), k, radius)
+    expected = brute_force_knn(points, k, radius)
+    assert distances_by_source(graph_edges(graph)) == distances_by_source(expected)
+    if expected:
+        assert graph.sigma == np.median(list(expected.values()))
+
+
+@pytest.mark.parametrize("k", [2.5, True, 3.0])
+@pytest.mark.parametrize("among", [None, np.arange(10)], ids=["whole", "among"])
+def test_non_integer_k_rejected(k, among):
+    cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+    with pytest.raises(TypeError, match="k must be an integer"):
+        build_knn_graph(cloud, k, 0.5, among=among)
+
+
+@pytest.mark.parametrize("among", [None, np.arange(10)], ids=["whole", "among"])
+def test_numpy_integer_k_accepted(among):
+    cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+    want = build_knn_graph(cloud, 3, 10.0, among=among)
+    got = build_knn_graph(cloud, np.int64(3), 10.0, among=among)
+    assert got.num_edges == want.num_edges == 30
+    np.testing.assert_array_equal(got.target, want.target)
+
+
 def test_duplicate_groups_of_several_sizes_match_oracle_distances():
     # Groups of 2 to 7 copies inside a random cloud are queried again in
     # batches of equal size.  Copies tie with each other as neighbors of
@@ -333,6 +400,13 @@ class TestAmong:
         cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
         with pytest.raises(ValueError, match="outside"):
             build_knn_graph(cloud, 2, 0.5, among=np.array(ids))
+
+    @pytest.mark.parametrize("ids", [np.int64(3), np.array([[0, 1], [2, 3]]), np.array([0.0, 1.0])],
+                             ids=["0-d", "2-d", "float"])
+    def test_ids_not_a_1d_integer_array_rejected(self, ids):
+        cloud = make_cloud(np.random.default_rng(0).uniform(0, 1, (10, 3)))
+        with pytest.raises(ValueError, match="among must be a 1-D integer array"):
+            build_knn_graph(cloud, 2, 0.5, among=ids)
 
     @pytest.mark.parametrize("ids", [[], [4]])
     def test_fewer_than_two_ids(self, ids):

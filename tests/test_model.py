@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -387,6 +388,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint has no tensor '{missing}'"):
             load_model(path)
 
+    def test_model_whose_layers_do_not_chain_names_the_tensor(self, tmp_path):
+        # A file cut by hand: student.layer1.weight loses rows 5 to 15.
+        network = init_network(hidden=(16, 8), output_dim=4, num_prototypes=5, seed=3)
+        path = tmp_path / "cut.ckpt"
+        save_model(path, network, network)
+        tensors = load_checkpoint(path)
+        tensors["student.layer1.weight"] = tensors["student.layer1.weight"][:5]
+        save_checkpoint(path, tensors)
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint tensor student.layer1.weight has shape (5, 8), "
+                "where the layout needs (16, 8)")):
+            load_model(path)
+
+    @pytest.mark.parametrize("hidden, first", [
+        ((16, 4), "layer1.weight"),  # a tensor of another shape
+        ((16,), "layer2.weight"),  # a layer fewer
+        ((16, 8, 8), "layer3.weight"),  # a layer more
+    ])
+    def test_model_teacher_of_another_layout_rejected(self, tmp_path, hidden, first):
+        student = init_network(hidden=(16, 8), output_dim=8, num_prototypes=5, seed=3)
+        teacher = init_network(hidden=hidden, output_dim=8, num_prototypes=5, seed=3)
+        path = tmp_path / "pair.ckpt"
+        save_model(path, student, teacher)
+        with pytest.raises(ValueError, match=f"teacher.{first} does not match student.{first}"):
+            load_model(path)
+
     @pytest.mark.parametrize("momentum", [np.zeros(0), np.array(5.0)], ids=["empty", "5.0"])
     def test_model_ignores_an_older_files_teacher_momentum(self, tmp_path, momentum):
         # Files written before the teacher lost its stored momentum carry a
@@ -406,6 +433,22 @@ class TestCheckpoint:
 
 
 class TestNetwork:
+    @pytest.mark.parametrize("name, shape", [
+        ("layer0.weight", (8, 5)),
+        ("layer0.bias", (4,)),
+        ("layer1.weight", (4, 3)),
+        ("layer1.bias", (5,)),
+        ("mask_token", (8,)),
+        ("head.projection", (5, 4)),
+    ])
+    def test_of_names_the_first_tensor_that_does_not_chain(self, name, shape):
+        tensors = init_network(hidden=(5,), output_dim=3, num_prototypes=4, seed=1).tensors()
+        tensors[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}"):
+            Network.of([tensors["layer0.weight"], tensors["layer1.weight"]],
+                       [tensors["layer0.bias"], tensors["layer1.bias"]],
+                       tensors["mask_token"], tensors["head.projection"])
+
     def test_tensors_view_flat_in_layout_order(self):
         network = init_network(hidden=(5,), output_dim=3, num_prototypes=4, seed=1)
         order = [*network.biases, network.mask_token, *network.weights, network.projection]

@@ -20,6 +20,7 @@ from pointssl import (
     write_ply,
 )
 from pointssl.cli import main
+from pointssl.model import init_network, load_checkpoint, save_checkpoint, save_model
 from pointssl.pipeline import (
     PipelineConfig,
     PipelineReport,
@@ -386,6 +387,20 @@ class TestCliCommands:
         assert set(tmp_path.rglob("*")) == before  # no output, not even an empty --out
         assert not (tmp_path / "outdir").exists()
         assert "scene_" not in capsys.readouterr().out  # no line for a discarded scene
+
+    def test_export_pca_names_a_checkpoint_tensor_that_does_not_chain(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_model("model.ckpt", init_network(hidden=(16, 8), output_dim=4, num_prototypes=5))
+        tensors = load_checkpoint("model.ckpt")
+        tensors["student.layer1.weight"] = tensors["student.layer1.weight"][:5]
+        save_checkpoint("model.ckpt", tensors)
+        write_ply("room.ply", toy_room(seed=31))
+        assert main(["export-pca", "--checkpoint", "model.ckpt", "--scene", "room.ply",
+                     "--out", "out.ply"]) == 1
+        assert "checkpoint tensor student.layer1.weight has shape (5, 8)" in caplog.text
+        assert not (tmp_path / "out.ply").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sinkhorn", "--input", "in.csv", "--strict"],
